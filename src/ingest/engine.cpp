@@ -49,6 +49,44 @@ std::string window_key(std::size_t rule_index, const tsdb::Point& point,
   return key;
 }
 
+// Folds a point's fields into per-field aggregates.  Both maps are sorted
+// by field name, so they are walked together: a series' points almost
+// always carry the field set its aggregates already hold, and each field
+// then costs one string compare instead of a tree lookup.
+void add_fields(std::map<std::string, FieldAggregate>& aggregates,
+                const tsdb::Point& point) {
+  auto it = aggregates.begin();
+  for (const auto& [field, value] : point.fields) {
+    if (it == aggregates.end() || it->first != field) {
+      it = aggregates.lower_bound(field);
+      if (it == aggregates.end() || it->first != field) {
+        it = aggregates.emplace_hint(it, field, FieldAggregate{});
+      }
+    }
+    it->second.add(value);
+    ++it;
+  }
+}
+
+// Parses newline-separated line protocol, skipping blank lines.  Both
+// submit_lines and WAL replay use it, so replay rebuilds exactly the points
+// a logged text was acknowledged with.
+Status parse_lines(std::string_view text, std::vector<tsdb::Point>& batch) {
+  std::size_t start = 0;
+  while (start <= text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    std::string_view line = text.substr(start, end - start);
+    if (!strings::trim(line).empty()) {
+      auto point = tsdb::Point::from_line(line);
+      if (!point) return point.status();
+      batch.push_back(std::move(point.value()));
+    }
+    start = end + 1;
+  }
+  return Status::ok();
+}
+
 TimeNs window_floor(TimeNs t, TimeNs window) {
   TimeNs start = t / window * window;
   if (t < 0 && t % window != 0) start -= window;
@@ -150,18 +188,7 @@ Status IngestEngine::open() {
     // explicit checkpoint.
     Status replay_status = wal_.replay([this](std::string_view payload) {
       Batch batch;
-      std::size_t start = 0;
-      while (start <= payload.size()) {
-        std::size_t end = payload.find('\n', start);
-        if (end == std::string_view::npos) end = payload.size();
-        std::string_view line = payload.substr(start, end - start);
-        if (!strings::trim(line).empty()) {
-          auto point = tsdb::Point::from_line(line);
-          if (!point) return point.status();
-          batch.push_back(std::move(point.value()));
-        }
-        start = end + 1;
-      }
+      if (Status s = parse_lines(payload, batch); !s.is_ok()) return s;
       if (batch.empty()) return Status::ok();
       recovered_points_ += batch.size();
       m_recovered_->add(batch.size());
@@ -221,15 +248,18 @@ Status IngestEngine::reopen() {
 // --------------------------------------------------------------- write path
 
 Status IngestEngine::submit(Batch batch) {
-  return submit_internal(std::move(batch), SubmitMode::kPolicy, -1);
+  return submit_internal(std::move(batch), std::nullopt, SubmitMode::kPolicy,
+                         -1);
 }
 
 Status IngestEngine::try_submit(Batch batch) {
-  return submit_internal(std::move(batch), SubmitMode::kNever, -1);
+  return submit_internal(std::move(batch), std::nullopt, SubmitMode::kNever,
+                         -1);
 }
 
 Status IngestEngine::submit_with_timeout(Batch batch, TimeNs timeout_ns) {
-  return submit_internal(std::move(batch), SubmitMode::kTimeout, timeout_ns);
+  return submit_internal(std::move(batch), std::nullopt, SubmitMode::kTimeout,
+                         timeout_ns);
 }
 
 Status IngestEngine::write_batch(Batch points) {
@@ -238,39 +268,37 @@ Status IngestEngine::write_batch(Batch points) {
 
 Status IngestEngine::submit_lines(std::string_view text) {
   Batch batch;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    if (!strings::trim(line).empty()) {
-      auto point = tsdb::Point::from_line(line);
-      if (!point) return point.status();
-      batch.push_back(std::move(point.value()));
-    }
-    start = end + 1;
-  }
+  if (Status s = parse_lines(text, batch); !s.is_ok()) return s;
   if (batch.empty()) return Status::ok();
-  return submit(std::move(batch));
+  // Every line parsed, so the text itself is the WAL record: replay parses
+  // it with the same parser and rebuilds the same points.
+  return submit_internal(std::move(batch), text, SubmitMode::kPolicy, -1);
 }
 
-Status IngestEngine::wal_append_batch(const Batch& batch) {
+Status IngestEngine::wal_append_batch(const Batch& batch,
+                                      std::optional<std::string_view> lines) {
   if (!wal_enabled()) return Status::ok();
   // Breaker-guarded: a dying disk fails producers fast (kAborted) instead
   // of making every submit ride out the full retry budget.
   if (!wal_breaker_->allow()) {
     return wal_breaker_->reject_status();
   }
-  std::string payload;
-  for (const tsdb::Point& p : batch) {
-    payload += p.to_line();
-    payload += '\n';
+  std::string rendered;
+  if (!lines.has_value()) {
+    for (const tsdb::Point& p : batch) {
+      rendered += p.to_line();
+      rendered += '\n';
+    }
+    lines = rendered;
   }
   Status result =
       retry(options_.wal_retry, *clock_, sleep_, /*seed=*/0x3a1u, [&] {
-        auto lsn = wal_.append(payload);
+        auto lsn = wal_.append(*lines);
         return lsn ? Status::ok() : lsn.status();
       });
+  // An oversized record is the caller's fault, not the disk's: refuse the
+  // batch without counting it against the log's health.
+  if (result.code() == ErrorCode::kOutOfRange) return result;
   if (!result.is_ok()) {
     wal_breaker_->record_failure();
     wal_failures_ += 1;
@@ -283,8 +311,9 @@ Status IngestEngine::wal_append_batch(const Batch& batch) {
   return result;
 }
 
-Status IngestEngine::submit_internal(Batch batch, SubmitMode mode,
-                                     TimeNs timeout_ns) {
+Status IngestEngine::submit_internal(Batch batch,
+                                     std::optional<std::string_view> lines,
+                                     SubmitMode mode, TimeNs timeout_ns) {
   if (!running_) return Status::unavailable("ingest engine not open");
   if (batch.empty()) return Status::ok();
   for (const tsdb::Point& p : batch) {
@@ -307,7 +336,7 @@ Status IngestEngine::submit_internal(Batch batch, SubmitMode mode,
 
   // Acknowledge durability first: once the WAL append returns, the batch
   // survives a crash no matter what the queues do.
-  if (Status s = wal_append_batch(batch); !s.is_ok()) return s;
+  if (Status s = wal_append_batch(batch, lines); !s.is_ok()) return s;
 
   std::vector<Batch> parts(shards_.size());
   for (tsdb::Point& p : batch) {
@@ -543,9 +572,7 @@ void IngestEngine::update_aggregates(Shard& shard, const Batch& batch) {
       cached_measurement = point.measurement;
       cached_tag = tag_value;
     }
-    for (const auto& [field, value] : point.fields) {
-      (*totals)[field].add(value);
-    }
+    add_fields(*totals, point);
     for (std::size_t r = 0; r < continuous_.size(); ++r) {
       const ContinuousQuery& rule = continuous_[r];
       if (rule.source_measurement != point.measurement) continue;
@@ -557,9 +584,7 @@ void IngestEngine::update_aggregates(Shard& shard, const Batch& batch) {
         window.tags = point.tags;
         window.window_start = start;
       }
-      for (const auto& [field, value] : point.fields) {
-        window.fields[field].add(value);
-      }
+      add_fields(window.fields, point);
     }
   }
 }
@@ -845,7 +870,7 @@ Status IngestEngine::publish_self_telemetry(TimeNs now,
   point.fields["max_queue_depth"] = static_cast<double>(s.max_queue_depth);
   Batch batch;
   batch.push_back(std::move(point));
-  return submit_internal(std::move(batch), SubmitMode::kNever, -1);
+  return try_submit(std::move(batch));
 }
 
 }  // namespace pmove::ingest

@@ -33,6 +33,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -186,7 +187,8 @@ class IngestEngine final : public tsdb::PointSink {
   Status submit_with_timeout(std::vector<tsdb::Point> batch,
                              TimeNs timeout_ns);
 
-  /// Line-protocol entry point: decodes once, then submit().
+  /// Line-protocol entry point: decodes once, then submits under the
+  /// configured policy.  The WAL logs `text` as sent.
   Status submit_lines(std::string_view text);
 
   // PointSink: lets samplers target the engine transparently (single
@@ -319,8 +321,13 @@ class IngestEngine final : public tsdb::PointSink {
 
   enum class SubmitMode { kPolicy, kNever, kTimeout };
 
-  Status submit_internal(Batch batch, SubmitMode mode, TimeNs timeout_ns);
-  Status wal_append_batch(const Batch& batch);
+  /// `lines` is the batch's line-protocol text when the caller sent text
+  /// (submit_lines); it becomes the WAL record verbatim.  Without it the
+  /// batch is rendered for the log.
+  Status submit_internal(Batch batch, std::optional<std::string_view> lines,
+                         SubmitMode mode, TimeNs timeout_ns);
+  Status wal_append_batch(const Batch& batch,
+                          std::optional<std::string_view> lines);
   /// flush() minus the auto-checkpoint trigger (checkpoint() itself needs
   /// to drain without recursing).
   void wait_drained();

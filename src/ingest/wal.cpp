@@ -36,7 +36,9 @@ Status io_error(std::string_view what, const std::string& path,
 
 constexpr std::uint32_t kMagic = 0x504D'574Cu;  // "PMWL"
 constexpr std::size_t kHeaderBytes = 12;        // magic + len + crc
-constexpr std::size_t kMaxPayload = 64u << 20;  // sanity bound for recovery
+/// Largest record payload.  append() refuses anything bigger, because
+/// recovery reads a larger length as corruption and cuts the log there.
+constexpr std::size_t kMaxPayload = 64u << 20;
 
 // Header fields are written in native byte order: the WAL is a local
 // crash-recovery log, never shipped across machines.
@@ -49,21 +51,40 @@ void encode_header(std::array<char, kHeaderBytes>& out, std::uint32_t len,
 
 }  // namespace
 
+// Slicing-by-8: table[k][b] is the CRC of byte b followed by k zero bytes,
+// so one step folds eight input bytes with eight independent lookups.  The
+// result is the bytewise algorithm's, bit for bit.
 std::uint32_t crc32(std::string_view data) {
   static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB8'8320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (std::size_t k = 1; k < 8; ++k) {
+        t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+      }
     }
     return t;
   }();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t crc = 0xFFFF'FFFFu;
-  for (unsigned char byte : data) {
-    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    // Little-endian assembly, so the result does not depend on the host.
+    const std::uint32_t lo =
+        crc ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+               std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    crc = table[7][lo & 0xFFu] ^ table[6][(lo >> 8) & 0xFFu] ^
+          table[5][(lo >> 16) & 0xFFu] ^ table[4][lo >> 24] ^
+          table[3][p[4]] ^ table[2][p[5]] ^ table[1][p[6]] ^ table[0][p[7]];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = table[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFF'FFFFu;
 }
@@ -225,6 +246,17 @@ Status Wal::replay(
 }
 
 Expected<std::uint64_t> Wal::append(std::string_view payload) {
+  if (payload.size() > kMaxPayload) {
+    return Status::out_of_range("WAL record of " +
+                                std::to_string(payload.size()) +
+                                " bytes exceeds the " +
+                                std::to_string(kMaxPayload) + "-byte limit");
+  }
+  // The checksum needs no lock; computing it outside keeps concurrent
+  // producers from serialising on it.
+  std::array<char, kHeaderBytes> header{};
+  encode_header(header, static_cast<std::uint32_t>(payload.size()),
+                crc32(payload));
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) {
     return Status::unavailable("WAL not open");
@@ -239,7 +271,6 @@ Expected<std::uint64_t> Wal::append(std::string_view payload) {
       return s;
     }
   }
-  const std::string path = segment_path(current_seq_);
 
   // Torn-write injection: write the header and only a prefix of the payload,
   // then report failure — exactly what a crash mid-record leaves behind.
@@ -247,9 +278,6 @@ Expected<std::uint64_t> Wal::append(std::string_view payload) {
   // land after it and be discarded by that truncation, so a torn point
   // should be followed by close() + reopen (the crash it simulates).
   if (const auto torn = fault::fires("wal.append.torn"); torn.has_value()) {
-    std::array<char, kHeaderBytes> header{};
-    encode_header(header, static_cast<std::uint32_t>(payload.size()),
-                  crc32(payload));
     const std::size_t keep =
         std::min<std::size_t>(payload.size(),
                               static_cast<std::size_t>(torn->count));
@@ -258,7 +286,8 @@ Expected<std::uint64_t> Wal::append(std::string_view payload) {
     (void)std::fflush(file_);
     current_bytes_ += kHeaderBytes + keep;
     m_append_failures_->inc();
-    return io_error("WAL append torn (injected crash)", path, 0);
+    return io_error("WAL append torn (injected crash)",
+                    segment_path(current_seq_), 0);
   }
 
   // Remember where the record starts so a failed write can be rolled back:
@@ -277,31 +306,32 @@ Expected<std::uint64_t> Wal::append(std::string_view payload) {
     }
   };
 
-  std::array<char, kHeaderBytes> header{};
-  encode_header(header, static_cast<std::uint32_t>(payload.size()),
-                crc32(payload));
   if (std::fwrite(header.data(), 1, kHeaderBytes, file_) != kHeaderBytes ||
       std::fwrite(payload.data(), 1, payload.size(), file_) !=
           payload.size()) {
     const int saved_errno = errno;
     rollback();
-    return io_error("WAL append write failed", path, saved_errno);
+    return io_error("WAL append write failed", segment_path(current_seq_),
+                    saved_errno);
   }
   if (std::fflush(file_) != 0) {
     const int saved_errno = errno;
     rollback();
-    return io_error("WAL append flush failed", path, saved_errno);
+    return io_error("WAL append flush failed", segment_path(current_seq_),
+                    saved_errno);
   }
   if (options_.sync_each_append) {
     if (Status s = fault::point("wal.append.fsync"); !s.is_ok()) {
       rollback();
-      return io_error("WAL fsync failed (injected): " + s.message(), path, 0);
+      return io_error("WAL fsync failed (injected): " + s.message(),
+                      segment_path(current_seq_), 0);
     }
 #ifdef __unix__
     if (::fsync(::fileno(file_)) != 0) {
       const int saved_errno = errno;
       rollback();
-      return io_error("WAL fsync failed", path, saved_errno);
+      return io_error("WAL fsync failed", segment_path(current_seq_),
+                      saved_errno);
     }
 #endif
     m_fsyncs_->inc();

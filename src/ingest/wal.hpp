@@ -9,6 +9,15 @@
 //
 //   [u32 magic][u32 payload_len][u32 crc32(payload)][payload bytes]
 //
+// A payload is one batch as newline-separated line protocol.  For
+// IngestEngine::submit_lines it is the submitted text verbatim (blank
+// lines, CRLF and number spellings included; every line already parsed);
+// for submit(Batch) it is the points rendered with Point::to_line().
+// Recovery parses either with Point::from_line and rebuilds the same points.
+// A record holds at most 64 MiB of payload: append() refuses a larger one
+// with kOutOfRange and writes nothing, since recovery would read its length
+// as corruption.
+//
 // Segments rotate at segment_bytes; recovery scans segments in sequence
 // order, validates every record's CRC, truncates a torn/corrupt tail record
 // and discards anything after it.  checkpoint() deletes all segments once
@@ -62,6 +71,8 @@ class Wal {
 
   /// Appends one record; returns its log sequence number.  The record is
   /// on disk (modulo OS cache; see sync_each_append) when this returns.
+  /// A payload over the 64 MiB record limit is refused (kOutOfRange)
+  /// before anything is written.
   /// Safe to call from concurrent producers; records serialize internally.
   Expected<std::uint64_t> append(std::string_view payload);
 

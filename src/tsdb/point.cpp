@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "util/strings.hpp"
 
@@ -34,33 +35,105 @@ std::size_t escaped_size_impl(std::string_view s) {
   return n;
 }
 
-std::string unescape(std::string_view s) {
-  std::string out;
+// One-pass line-protocol scanning.  A backslash pairs with the byte after
+// it (the pair never separates); a backslash that ends the line is a literal
+// backslash.  Each token is scanned once: without a backslash it is
+// assigned straight from the line, otherwise it is unescaped as it is
+// copied.
+struct Token {
+  std::string_view raw;  ///< the token's bytes, escapes included
+  bool escaped = false;  ///< raw holds at least one backslash
+};
+
+// Scans from `pos` to the first unescaped ',' or ' ' (and '=' when
+// `stop_at_equals`), leaving `pos` on that byte or at the end of the line.
+Token scan_token(std::string_view line, std::size_t& pos,
+                 bool stop_at_equals) {
+  const std::size_t start = pos;
+  bool escaped = false;
+  while (pos < line.size()) {
+    const char c = line[pos];
+    if (c == '\\') {
+      escaped = true;
+      pos += pos + 1 < line.size() ? 2 : 1;
+      continue;
+    }
+    if (c == ',' || c == ' ' || (c == '=' && stop_at_equals)) break;
+    ++pos;
+  }
+  return {line.substr(start, pos - start), escaped};
+}
+
+void assign_token(std::string& out, const Token& token) {
+  if (!token.escaped) {
+    out.assign(token.raw);
+    return;
+  }
+  out.clear();
+  const std::string_view s = token.raw;
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s[i] == '\\' && i + 1 < s.size()) ++i;
     out += s[i];
   }
+}
+
+std::string token_string(const Token& token) {
+  std::string out;
+  assign_token(out, token);
   return out;
 }
 
-// Splits on `sep` respecting backslash escapes.
-std::vector<std::string> split_escaped(std::string_view text, char sep) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\\' && i + 1 < text.size()) {
-      current += text[i];
-      current += text[i + 1];
-      ++i;
-    } else if (text[i] == sep) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += text[i];
-    }
+enum class PairFault { kNone, kMalformed, kEmptyKey };
+
+// Scans one "key=value" tag or field from `pos`.  Malformed means the key
+// is not followed by exactly one unescaped '=' before the next ',' or ' '.
+PairFault scan_pair(std::string_view line, std::size_t& pos, Token& key,
+                    Token& value) {
+  key = scan_token(line, pos, /*stop_at_equals=*/true);
+  if (pos == line.size() || line[pos] != '=') return PairFault::kMalformed;
+  value = scan_token(line, ++pos, /*stop_at_equals=*/true);
+  if (pos < line.size() && line[pos] == '=') return PairFault::kMalformed;
+  return key.raw.empty() ? PairFault::kEmptyKey : PairFault::kNone;
+}
+
+// The raw text of the ','-separated element that starts at `start`: error
+// messages quote a malformed tag or field whole.
+std::string element_text(std::string_view line, std::size_t start) {
+  return std::string(scan_token(line, start, /*stop_at_equals=*/false).raw);
+}
+
+bool has_unescaped_space(std::string_view line) {
+  for (std::size_t pos = 0; pos < line.size(); ++pos) {
+    scan_token(line, pos, /*stop_at_equals=*/false);
+    if (pos < line.size() && line[pos] == ' ') return true;
   }
-  parts.push_back(current);
-  return parts;
+  return false;
+}
+
+// Field values: std::from_chars when it takes the whole text; anything it
+// declines (a leading '+' or whitespace, hex, overflow, underflow, NaN
+// payloads) goes to strtod on a NUL-terminated copy, so the accepted
+// language and every value are strtod's.
+bool parse_value(std::string_view text, double& value) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc() && ptr == end && !std::isnan(value)) return true;
+  const std::string copy(text);
+  char* stop = nullptr;
+  value = std::strtod(copy.c_str(), &stop);
+  return stop == copy.c_str() + copy.size();
+}
+
+// Timestamps: std::from_chars, else strtoll (which also takes '+' and
+// saturates on overflow).
+bool parse_time(std::string_view text, TimeNs& time) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, time);
+  if (ec == std::errc() && ptr == end) return true;
+  const std::string copy(text);
+  char* stop = nullptr;
+  time = std::strtoll(copy.c_str(), &stop, 10);
+  return stop == copy.c_str() + copy.size();
 }
 
 // Non-integral values render via std::to_chars: the shortest decimal form
@@ -167,64 +240,71 @@ Expected<Point> Point::from_line(std::string_view line) {
   line = strings::trim(line);
   if (line.empty()) return Status::parse_error("empty line-protocol line");
 
-  // Split into up to 3 space-separated sections (escaped spaces respected).
-  std::vector<std::string> sections;
-  std::string current;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      current += line[i];
-      current += line[i + 1];
-      ++i;
-    } else if (line[i] == ' ' && sections.size() < 2) {
-      sections.push_back(current);
-      current.clear();
-    } else {
-      current += line[i];
+  // A line without an unescaped space has no field set; that verdict takes
+  // precedence over any fault in the measurement or tags before it.
+  const auto head_error = [line](std::string message) -> Status {
+    if (!has_unescaped_space(line)) {
+      message = "line protocol needs measurement and fields";
     }
-  }
-  sections.push_back(current);
-  if (sections.size() < 2) {
-    return Status::parse_error("line protocol needs measurement and fields");
-  }
+    return Status::parse_error(std::move(message));
+  };
 
   Point point;
-  auto head = split_escaped(sections[0], ',');
-  point.measurement = unescape(head[0]);
-  if (point.measurement.empty()) {
-    return Status::parse_error("empty measurement name");
+  std::size_t pos = 0;
+  assign_token(point.measurement,
+               scan_token(line, pos, /*stop_at_equals=*/false));
+  if (pos == line.size()) {
+    return Status::parse_error("line protocol needs measurement and fields");
   }
-  for (std::size_t i = 1; i < head.size(); ++i) {
-    auto kv = split_escaped(head[i], '=');
-    if (kv.size() != 2) return Status::parse_error("malformed tag: " + head[i]);
-    std::string key = unescape(kv[0]);
-    if (key.empty()) return Status::parse_error("empty tag key: " + head[i]);
-    point.tags[std::move(key)] = unescape(kv[1]);
+  if (point.measurement.empty()) return head_error("empty measurement name");
+
+  // Tag set: ",key=value" pairs up to the first unescaped space.
+  Token key, raw_value;
+  while (line[pos] == ',') {
+    const std::size_t element = ++pos;
+    if (const PairFault fault = scan_pair(line, pos, key, raw_value);
+        fault != PairFault::kNone) {
+      return head_error((fault == PairFault::kMalformed ? "malformed tag: "
+                                                        : "empty tag key: ") +
+                        element_text(line, element));
+    }
+    if (pos == line.size()) {
+      return Status::parse_error("line protocol needs measurement and fields");
+    }
+    point.tags.insert_or_assign(point.tags.end(), token_string(key),
+                                token_string(raw_value));
   }
-  for (const auto& field : split_escaped(sections[1], ',')) {
-    auto kv = split_escaped(field, '=');
-    if (kv.size() != 2) {
-      return Status::parse_error("malformed field: " + field);
+
+  // Field set: "key=value" pairs separated by ',' up to the next unescaped
+  // space or the end of the line.
+  do {
+    const std::size_t element = ++pos;
+    if (const PairFault fault = scan_pair(line, pos, key, raw_value);
+        fault != PairFault::kNone) {
+      return Status::parse_error(
+          (fault == PairFault::kMalformed ? "malformed field: "
+                                          : "empty field name: ") +
+          element_text(line, element));
     }
-    if (unescape(kv[0]).empty()) {
-      return Status::parse_error("empty field name: " + field);
+    std::string unescaped;
+    std::string_view text = raw_value.raw;
+    if (raw_value.escaped) {
+      assign_token(unescaped, raw_value);
+      text = unescaped;
     }
-    char* end = nullptr;
-    const std::string value_text = unescape(kv[1]);
-    double value = std::strtod(value_text.c_str(), &end);
-    if (end != value_text.c_str() + value_text.size()) {
-      return Status::parse_error("non-numeric field value: " + value_text);
+    double v = 0.0;
+    if (!parse_value(text, v)) {
+      return Status::parse_error("non-numeric field value: " +
+                                 std::string(text));
     }
-    point.fields[unescape(kv[0])] = value;
-  }
-  if (point.fields.empty()) return Status::parse_error("no fields in line");
-  if (sections.size() == 3) {
-    const std::string ts = std::string(strings::trim(sections[2]));
-    if (!ts.empty()) {
-      char* end = nullptr;
-      point.time = std::strtoll(ts.c_str(), &end, 10);
-      if (end != ts.c_str() + ts.size()) {
-        return Status::parse_error("bad timestamp: " + ts);
-      }
+    point.fields.insert_or_assign(point.fields.end(), token_string(key), v);
+  } while (pos < line.size() && line[pos] == ',');
+
+  // Timestamp: the rest of the line, raw (escapes are not unescaped here).
+  if (pos < line.size()) {
+    const std::string_view ts = strings::trim(line.substr(pos + 1));
+    if (!ts.empty() && !parse_time(ts, point.time)) {
+      return Status::parse_error("bad timestamp: " + std::string(ts));
     }
   }
   return point;

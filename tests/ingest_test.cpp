@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <random>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -311,6 +315,56 @@ TEST(WalTest, Crc32KnownVector) {
   // IEEE CRC-32 of "123456789" is the classic check value.
   EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(crc32(""), 0x00000000u);
+}
+
+TEST(WalTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937_64 rng(0xc3c32u);
+  std::string buffer(4096 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    // The bit-at-a-time definition, advanced one byte per length, gives
+    // the reference CRC of every prefix.
+    std::uint32_t state = 0xFFFF'FFFFu;
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(crc32(data), state ^ 0xFFFF'FFFFu)
+          << "offset " << offset << " length " << len;
+      if (len == 4096) break;
+      state ^= static_cast<unsigned char>(data.data()[len]);
+      for (int k = 0; k < 8; ++k) {
+        state = (state & 1u) ? 0xEDB8'8320u ^ (state >> 1) : state >> 1;
+      }
+    }
+  }
+}
+
+TEST(WalTest, OversizedRecordIsRefusedAndHistorySurvives) {
+  TempDir dir("oversized");
+  WalOptions options;
+  options.dir = dir.path;
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.open(options).is_ok());
+    ASSERT_TRUE(wal.append("before").has_value());
+    // One byte over the 64 MiB record limit: recovery would read the
+    // length as corruption and cut the log here, so nothing may be written.
+    const auto oversized = wal.append(std::string((64u << 20) + 1, 'x'));
+    ASSERT_FALSE(oversized.has_value());
+    EXPECT_EQ(oversized.status().code(), ErrorCode::kOutOfRange);
+    ASSERT_TRUE(wal.append("after").has_value());
+    EXPECT_EQ(wal.record_count(), 2u);
+  }
+  Wal wal;
+  ASSERT_TRUE(wal.open(options).is_ok());
+  EXPECT_EQ(wal.recovery().records, 2u);
+  EXPECT_EQ(wal.recovery().truncated_bytes, 0u);
+  std::vector<std::string> payloads;
+  ASSERT_TRUE(wal.replay([&payloads](std::string_view payload) {
+                   payloads.emplace_back(payload);
+                   return Status::ok();
+                 })
+                  .is_ok());
+  EXPECT_EQ(payloads, (std::vector<std::string>{"before", "after"}));
 }
 
 // -------------------------------------------------------- crash + recovery
@@ -853,6 +907,94 @@ TEST(IngestEngineTest, SelfTelemetryLandsInStorage) {
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->rows.size(), 1u);
   engine.close();
+}
+
+TEST(IngestEngineTest, SubmitLinesLogsTextVerbatimAndRecoversSameRows) {
+  TempDir dir("verbatim");
+  IngestOptions options;
+  options.shard_count = 1;
+  options.wal_dir = dir.path;
+  // Non-canonical spellings that to_line() would never produce: trailing
+  // zeros, '+', hex, CRLF, blank lines, escapes, a duplicate field (last
+  // wins), tags out of order, padding and no final newline.
+  const std::string text =
+      "cpu,host=a,tag=x _cpu0=1.50,_cpu1=2.0 100\r\n"
+      "\r\n"
+      "\n"
+      "cpu,tag=x,host=a _cpu1=+3,_cpu0=0x1p3 200\n"
+      "cpu\\ load,host=b\\,c value=1e3,value=7 300\n"
+      "  cpu,host=a,tag=x _cpu0=.5e1,_cpu1=-0.000 400  \n"
+      "cpu,host=a,tag=x _cpu0=4.9e-324,_cpu1=1e400 500";
+  std::vector<tsdb::Point> batch = {make_point("mem", 600, 0.1, "y")};
+  const std::string rendered = batch[0].to_line() + "\n";
+
+  tsdb::TimeSeriesDb live;
+  {
+    IngestEngine engine(options, &live);
+    ASSERT_TRUE(engine.open().is_ok());
+    ASSERT_TRUE(engine.submit_lines(text).is_ok());
+    ASSERT_TRUE(engine.submit(std::move(batch)).is_ok());
+    ASSERT_TRUE(engine.flush().is_ok());
+    engine.close();
+  }
+  EXPECT_EQ(live.point_count(), 6u);
+
+  // The log holds what was sent, and what was rendered for the batch.
+  {
+    Wal wal;
+    WalOptions wal_options;
+    wal_options.dir = dir.path;
+    ASSERT_TRUE(wal.open(wal_options).is_ok());
+    std::vector<std::string> payloads;
+    ASSERT_TRUE(wal.replay([&payloads](std::string_view payload) {
+                     payloads.emplace_back(payload);
+                     return Status::ok();
+                   })
+                    .is_ok());
+    EXPECT_EQ(payloads, (std::vector<std::string>{text, rendered}));
+  }
+
+  tsdb::TimeSeriesDb recovered;
+  IngestEngine engine(options, &recovered);
+  ASSERT_TRUE(engine.open().is_ok());
+  EXPECT_EQ(engine.stats().recovered_points, 6u);
+  engine.close();
+  const std::string live_dump = dir.path + "/live.lp";
+  const std::string recovered_dump = dir.path + "/recovered.lp";
+  ASSERT_TRUE(live.dump_to_file(live_dump).is_ok());
+  ASSERT_TRUE(recovered.dump_to_file(recovered_dump).is_ok());
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string rows = slurp(live_dump);
+  EXPECT_EQ(std::count(rows.begin(), rows.end(), '\n'), 6);
+  EXPECT_EQ(slurp(recovered_dump), rows);
+}
+
+TEST(IngestEngineTest, OversizedSubmitIsRefusedWithoutAckOrWalFault) {
+  TempDir dir("oversized_submit");
+  IngestOptions options;
+  options.wal_dir = dir.path;
+  {
+    IngestEngine engine(options);
+    ASSERT_TRUE(engine.open().is_ok());
+    ASSERT_TRUE(engine.submit_lines("m,tag=a value=1 1\n").is_ok());
+    // One line whose tag value alone passes the 64 MiB record limit.
+    const std::string huge =
+        "m,tag=" + std::string(64u << 20, 'x') + " value=2 2\n";
+    EXPECT_EQ(engine.submit_lines(huge).code(), ErrorCode::kOutOfRange);
+    // The log is healthy: the refusal must not count as a WAL failure.
+    EXPECT_EQ(engine.stats().wal_failures, 0u);
+    ASSERT_TRUE(engine.submit_lines("m,tag=a value=3 3\n").is_ok());
+    ASSERT_TRUE(engine.flush().is_ok());
+    engine.close();
+  }
+  IngestEngine recovered(options);
+  ASSERT_TRUE(recovered.open().is_ok());
+  EXPECT_EQ(recovered.stats().recovered_points, 2u);
+  EXPECT_EQ(recovered.point_count(), 2u);
+  recovered.close();
 }
 
 TEST(IngestEngineTest, SubmitLinesDecodesOnce) {

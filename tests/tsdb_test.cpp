@@ -8,10 +8,13 @@
 #include <cstdio>
 #include <iterator>
 #include <limits>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "query/plan.hpp"
+#include "support/reference_line_protocol.hpp"
 #include "tsdb/db.hpp"
 #include "tsdb/point.hpp"
 
@@ -145,6 +148,155 @@ TEST(LineProtocolTest, OutOfOrderTimestampsParseIndependently) {
 }
 
 // ------------------------------------------------------------------ writes
+
+// ------------------------------------------------- parser parity fuzzing
+
+// Sampler-shaped lines (the perfevent layout: two tags, sixteen per-CPU
+// fields) mutated with the bytes line protocol treats specially.  The
+// production parser must agree with the reference oracle on every one.
+class LineFuzzer {
+ public:
+  explicit LineFuzzer(std::uint64_t seed) : rng_(seed) {}
+
+  std::string next() {
+    std::string line;
+    switch (pick(8)) {
+      case 0:  // short lines over the special-byte alphabet
+        for (std::size_t n = pick(24); n > 0; --n) {
+          line += kAlphabet[pick(sizeof(kAlphabet) - 1)];
+        }
+        return line;
+      case 1:  // well-formed, number spellings varied
+        return sampler_line();
+      default:
+        line = sampler_line();
+        for (std::size_t n = 1 + pick(4); n > 0; --n) mutate(line);
+        return line;
+    }
+  }
+
+ private:
+  static constexpr char kAlphabet[] = "m ,=\\\\+-.0123456789eExXpPinfaN\t\r\n\v";
+
+  std::size_t pick(std::size_t n) { return static_cast<std::size_t>(rng_() % n); }
+
+  std::string number() {
+    static const char* const kSpellings[] = {
+        "1.50", "+1", "-0", "0x1p3", "0X1.8P1", "inf", "-inf", "Infinity",
+        "nan", "-nan", "NaN(123)", "1e400", "-1e400", "1e-400", "4.9e-324",
+        "2.2250738585072011e-308", ".5", "5.", "1e", "", " 1", "1_0",
+        "00012", "1.7976931348623157e308", "123456789012345678901234567890"};
+    if (pick(32) == 0) return kSpellings[pick(std::size(kSpellings))];
+    char buf[48];
+    const double v = static_cast<double>(rng_() % 2000001) / 1000.0 - 1000.0;
+    const int n = lp::format_value(buf, pick(2) == 0 ? std::floor(v) : v);
+    return std::string(buf, static_cast<std::size_t>(n));
+  }
+
+  std::string timestamp() {
+    static const char* const kSpellings[] = {
+        "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+        "99999999999999999999", "+5", "-5", "0", "", "1.5", "0x10", "12 13"};
+    if (pick(4) == 0) return kSpellings[pick(std::size(kSpellings))];
+    return std::to_string(1'690'000'000'000'000'000LL +
+                          static_cast<long long>(rng_() % 1'000'000'000));
+  }
+
+  std::string sampler_line() {
+    std::string line = "perfevent_hwcounters_instructions_value";
+    line += ",host=h" + std::to_string(pick(2000));
+    line += ",tag=" + std::to_string(rng_() % 100000);
+    for (int f = 0; f < 16; ++f) {
+      line += f == 0 ? ' ' : ',';
+      line += "_cpu" + std::to_string(f) + "=" + number();
+    }
+    if (pick(8) != 0) line += " " + timestamp();
+    if (pick(8) == 0) line += "\r";
+    return line;
+  }
+
+  void mutate(std::string& line) {
+    static const std::string_view kHostile[] = {
+        "\\", "\\ ", "\\,", "\\=", "\\\\", ",", "=", " ", "  ", "\t", "\r",
+        "\r\n", "\v", std::string_view("\0", 1), "\xff", ",_cpu0=7",
+        ",_cpu3=-2", ",tag=dup", ",=1", ",k=", "=v", ",", "+1", "0x", "inf",
+        "nan", "1e400", "4.9e-324", "-9223372036854775809", "1.50", "\\\\ "};
+    const std::size_t at = line.empty() ? 0 : pick(line.size() + 1);
+    switch (pick(5)) {
+      case 0:
+      case 1:
+        line.insert(at, kHostile[pick(std::size(kHostile))]);
+        break;
+      case 2:
+        if (at < line.size()) line[at] = kAlphabet[pick(sizeof(kAlphabet) - 1)];
+        break;
+      case 3:
+        if (at < line.size()) line.erase(at, 1 + pick(6));
+        break;
+      default:
+        line.resize(at);  // truncation, e.g. a torn tail ending in '\'
+        break;
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+void expect_same_parse(const std::string& line, std::size_t& accepted) {
+  const Expected<Point> want = testing::reference_from_line(line);
+  const Expected<Point> got = Point::from_line(line);
+  ASSERT_EQ(got.has_value(), want.has_value()) << "line: " << line;
+  if (!want.has_value()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << "line: " << line;
+    EXPECT_EQ(got.status().message(), want.status().message())
+        << "line: " << line;
+    return;
+  }
+  ++accepted;
+  EXPECT_EQ(got->measurement, want->measurement) << "line: " << line;
+  EXPECT_EQ(got->tags, want->tags) << "line: " << line;
+  EXPECT_EQ(got->time, want->time) << "line: " << line;
+  ASSERT_EQ(got->fields.size(), want->fields.size()) << "line: " << line;
+  for (auto g = got->fields.begin(), w = want->fields.begin();
+       w != want->fields.end(); ++g, ++w) {
+    EXPECT_EQ(g->first, w->first) << "line: " << line;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g->second),
+              std::bit_cast<std::uint64_t>(w->second))
+        << "line: " << line << " field " << w->first;
+  }
+}
+
+TEST(LineProtocolFuzzTest, MatchesReferenceParserBitForBit) {
+  LineFuzzer fuzzer(0x9e3779b97f4a7c15ULL);
+  constexpr std::size_t kLines = 120'000;
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    const std::string line = fuzzer.next();
+    expect_same_parse(line, accepted);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Both verdicts must be well represented, or the fuzzer tests nothing.
+  EXPECT_GT(accepted, kLines / 5);
+  EXPECT_LT(accepted, kLines * 4 / 5);
+}
+
+TEST(LineProtocolFuzzTest, HostileSpellingsMatchReference) {
+  std::size_t accepted = 0;
+  for (const char* line : {
+           "m f=+1 5", "m f=\t1", "m f=0x1p3", "m f=0X1.8P1 -5", "m f=inf",
+           "m f=-Infinity", "m f=nan", "m f=-nan", "m f=NaN(123)",
+           "m f=nan(0x7)", "m f=1e400", "m f=-1e400", "m f=1e-400",
+           "m f=4.9e-324", "m f=2.4703282292062328e-324", "m f=1 +5",
+           "m f=1 9223372036854775808", "m f=1 -9223372036854775809",
+           "m f=1 \\5", "m f=1\\.5", "m f=1\\", "m\\ x f=1", "m,k=v\\ f=1",
+           "m f= 5", "m,k= f=1", "m f=1,f=2,f=3 7", "m,t=a,t=b f=1",
+           "m f=1,", "m f=1, 5", "m,,k=v f=1", ",k=v", ",k=v f=1", "m,k",
+           "m,k f=1", "m,=v=w f=1", "m f=1=2", "m =1", "m  f=1", "m f=1 5 6",
+           "m f=1 5\r", "\r\nm f=1\r\n", "m\v f=1", "m f=1\v5", "m=x f=1"}) {
+    expect_same_parse(line, accepted);
+  }
+  EXPECT_GT(accepted, 0u);
+}
 
 TEST(DbTest, WriteAndCount) {
   TimeSeriesDb db;
