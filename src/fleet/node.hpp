@@ -1,8 +1,8 @@
 // One fleet member: a node-local ingest engine + storage + health.
 //
 // A FleetNode is the per-machine half of the paper's cluster-level P-MoVE:
-// the sharded/batched/backpressured IngestEngine (in external mode, fronting
-// the node's own columnar TimeSeriesDb), the node's HealthRegistry, and its
+// the sharded/batched/backpressured IngestEngine (writing into the node's
+// own columnar TimeSeriesDb), the node's HealthRegistry, and its
 // FleetHealthTable — the node's own view of everyone else's health, filled
 // by gossip.  The router writes into it, the scatter path queries it, and
 // the gossip coordinator swaps its table with peers.
@@ -106,7 +106,7 @@ class FleetNode {
   tsdb::TimeSeriesDb db_;
   std::unique_ptr<HealthRegistry> owned_health_;
   HealthRegistry* health_ = nullptr;  ///< owned_health_ or borrowed
-  std::unique_ptr<ingest::IngestEngine> engine_;  ///< external mode over db_
+  std::unique_ptr<ingest::IngestEngine> engine_;  ///< writes into db_
 
   /// Guards digest_version_ and table_: wire-mode server workers call
   /// exchange() concurrently with the gossip coordinator's refresh/offer.

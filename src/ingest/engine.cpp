@@ -6,7 +6,6 @@
 
 #include "fault/fault.hpp"
 #include "metrics/names.hpp"
-#include "query/plan.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -115,9 +114,10 @@ Expected<BackpressurePolicy> parse_backpressure(std::string_view name) {
                                   std::string(name));
 }
 
-IngestEngine::IngestEngine(IngestOptions options,
-                           tsdb::TimeSeriesDb* external)
-    : options_(std::move(options)), external_(external) {
+IngestEngine::IngestEngine(IngestOptions options, tsdb::TimeSeriesDb* db)
+    : options_(std::move(options)),
+      owned_(db == nullptr ? std::make_unique<tsdb::TimeSeriesDb>() : nullptr),
+      db_(db == nullptr ? owned_.get() : db) {
   static const WallClock kWallClock;
   clock_ = options_.clock != nullptr ? options_.clock : &kWallClock;
   sleep_ = options_.sleep ? options_.sleep : real_sleep();
@@ -145,9 +145,6 @@ IngestEngine::IngestEngine(IngestOptions options,
   m_wal_failures_ = &reg.counter(m, "engine", "wal_failures");
   for (int i = 0; i < options_.shard_count; ++i) {
     auto shard = std::make_unique<Shard>(options_.queue_capacity);
-    if (external_ == nullptr) {
-      shard->storage = std::make_unique<tsdb::TimeSeriesDb>();
-    }
     shard->breaker = std::make_unique<CircuitBreaker>(
         "ingest.shard" + std::to_string(i), options_.sink_breaker, clock_);
     shard->seed = mix_seed(0x50'4d'56u, static_cast<std::uint64_t>(i));
@@ -181,7 +178,7 @@ Status IngestEngine::open() {
     // snapshot first and then replaying reproduces the full state with no
     // duplicates.  Aggregate/continuous-query state is rebuilt only from
     // the replayed tail — checkpointed history feeds storage, not windows.
-    if (Status s = load_snapshots(); !s.is_ok()) return s;
+    if (Status s = load_snapshot(); !s.is_ok()) return s;
     // Recovery: re-ingest every surviving batch synchronously (workers are
     // not running yet).  The records stay in the WAL — the in-memory DB is
     // volatile, so the log remains the source of durability until an
@@ -200,8 +197,7 @@ Status IngestEngine::open() {
         if (parts[i].empty()) continue;
         update_aggregates(*shards_[i], parts[i]);
         inserted_points_ += parts[i].size();
-        if (Status s = insert_points(*shards_[i], std::move(parts[i]));
-            !s.is_ok()) {
+        if (Status s = db_->write_batch(std::move(parts[i])); !s.is_ok()) {
           return s;
         }
       }
@@ -324,10 +320,6 @@ Status IngestEngine::submit_internal(Batch batch,
       return Status::invalid_argument("point has no fields");
     }
   }
-  submitted_batches_ += 1;
-  submitted_points_ += batch.size();
-  m_submitted_->add(batch.size());
-
   // Held (shared) across append + queue hand-off so checkpoint() can never
   // truncate a record whose batch has not reached pending_ yet — the gap
   // between "in the WAL" and "counted by wait_drained" would otherwise lose
@@ -335,8 +327,12 @@ Status IngestEngine::submit_internal(Batch batch,
   std::shared_lock<std::shared_mutex> gate(checkpoint_gate_);
 
   // Acknowledge durability first: once the WAL append returns, the batch
-  // survives a crash no matter what the queues do.
+  // survives a crash no matter what the queues do.  A batch the log refuses
+  // was never acknowledged, so it is not counted as submitted.
   if (Status s = wal_append_batch(batch, lines); !s.is_ok()) return s;
+  submitted_batches_ += 1;
+  submitted_points_ += batch.size();
+  m_submitted_->add(batch.size());
 
   std::vector<Batch> parts(shards_.size());
   for (tsdb::Point& p : batch) {
@@ -481,7 +477,7 @@ Status IngestEngine::deliver_batch(Shard& shard, Batch& batch) {
   }
   update_aggregates(shard, batch);
   const std::size_t n = batch.size();
-  if (Status s = insert_points(shard, std::move(batch)); !s.is_ok()) {
+  if (Status s = db_->write_batch(std::move(batch)); !s.is_ok()) {
     // Points were validated at submit, so a refusal here is deterministic
     // (poison), not an outage: count it and drop rather than retry the
     // same error forever.
@@ -589,12 +585,6 @@ void IngestEngine::update_aggregates(Shard& shard, const Batch& batch) {
   }
 }
 
-Status IngestEngine::insert_points(Shard& shard, Batch batch) {
-  tsdb::TimeSeriesDb* db =
-      external_ != nullptr ? external_ : shard.storage.get();
-  return db->write_batch(std::move(batch));
-}
-
 void IngestEngine::note_applied(std::size_t batches) {
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
@@ -634,69 +624,39 @@ Status IngestEngine::checkpoint() {
   // wait_drained() needs to make the snapshot cover every logged record.
   std::unique_lock<std::shared_mutex> gate(checkpoint_gate_);
   wait_drained();
-  if (Status s = write_snapshots(); !s.is_ok()) return s;
+  if (Status s = write_snapshot(); !s.is_ok()) return s;
   if (Status s = wal_.checkpoint(); !s.is_ok()) return s;
   checkpoints_ += 1;
   return Status::ok();
 }
 
-std::string IngestEngine::snapshot_path(int shard) const {
-  if (shard < 0) return options_.wal_dir + "/checkpoint.lp";
-  return options_.wal_dir + "/checkpoint-shard" + std::to_string(shard) +
-         ".lp";
-}
-
-Status IngestEngine::write_snapshots() const {
-  const auto dump = [](const tsdb::TimeSeriesDb& db,
-                       const std::string& path) -> Status {
-    // tmp + rename: a crash mid-dump leaves the previous snapshot intact.
-    const std::string tmp = path + ".tmp";
-    if (Status s = db.dump_to_file(tmp); !s.is_ok()) return s;
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      return Status::internal("cannot install snapshot: " + path);
-    }
-    return Status::ok();
-  };
-  if (external_ != nullptr) return dump(*external_, snapshot_path(-1));
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (Status s = dump(*shards_[i]->storage,
-                        snapshot_path(static_cast<int>(i)));
-        !s.is_ok()) {
-      return s;
-    }
+Status IngestEngine::write_snapshot() const {
+  // tmp + rename: a crash mid-dump leaves the previous snapshot intact.
+  const std::string path = snapshot_path();
+  const std::string tmp = path + ".tmp";
+  if (Status s = db_->dump_to_file(tmp); !s.is_ok()) return s;
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::internal("cannot install snapshot: " + path);
   }
   return Status::ok();
 }
 
-Status IngestEngine::load_snapshots() {
-  const auto load = [](tsdb::TimeSeriesDb& db,
-                       const std::string& path) -> Status {
-    Status s = db.load_from_file(path);
-    if (!s.is_ok() && s.code() == ErrorCode::kNotFound) {
-      return Status::ok();  // never checkpointed — nothing to load
-    }
-    return s;
-  };
-  // External mode: the attached DB's owner restores its own state (the
-  // daemon's load_session reads timeseries.lp, which save_session dumped
-  // immediately before checkpointing) — auto-loading checkpoint.lp here
-  // would double every restored point.  The snapshot still exists on disk
-  // for operators recovering without a session directory.
-  if (external_ != nullptr) return Status::ok();
-  const std::size_t before = point_count();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (Status s = load(*shards_[i]->storage,
-                        snapshot_path(static_cast<int>(i)));
-        !s.is_ok()) {
-      return s;
-    }
-  }
-  const std::size_t gained = point_count() - before;
-  if (gained > 0) {
-    recovered_points_ += gained;
-    m_recovered_->add(gained);
-    inserted_points_ += gained;
-  }
+Status IngestEngine::load_snapshot() {
+  // A caller-owned DB is restored by its owner (the daemon's load_session
+  // reads timeseries.lp, which save_session dumped immediately before
+  // checkpointing) — auto-loading checkpoint.lp here would double every
+  // restored point.  The snapshot still exists on disk for operators
+  // recovering without a session directory.
+  if (owned_ == nullptr) return Status::ok();
+  const std::size_t before = owned_->point_count();
+  Status s = owned_->load_from_file(snapshot_path());
+  // Not found: never checkpointed, nothing to load.
+  if (s.code() == ErrorCode::kNotFound) return Status::ok();
+  if (!s.is_ok()) return s;
+  const std::size_t gained = owned_->point_count() - before;
+  recovered_points_ += gained;
+  m_recovered_->add(gained);
+  inserted_points_ += gained;
   return Status::ok();
 }
 
@@ -751,10 +711,9 @@ Status IngestEngine::close_windows(TimeNs watermark) {
     }
     if (!emitted.empty()) {
       downsampled_points_ += emitted.size();
-      // Downsampled points go straight into this shard's storage (queries
-      // merge across shards, so placement does not affect results) and
-      // bypass the WAL: they are derivable from the raw log.
-      if (Status s = insert_points(*shard, std::move(emitted)); !s.is_ok()) {
+      // Downsampled points go straight into storage and bypass the WAL:
+      // they are derivable from the raw log.
+      if (Status s = db_->write_batch(std::move(emitted)); !s.is_ok()) {
         return s;
       }
     }
@@ -776,35 +735,6 @@ std::map<std::string, FieldAggregate> IngestEngine::series_aggregates(
     }
   }
   return merged;
-}
-
-// ---------------------------------------------------------------- read path
-
-Expected<tsdb::QueryResult> IngestEngine::query(
-    std::string_view text) const {
-  if (external_ != nullptr) return query::run(*external_, text);
-  std::vector<const tsdb::TimeSeriesDb*> shards;
-  shards.reserve(shards_.size());
-  for (const auto& shard : shards_) shards.push_back(shard->storage.get());
-  return query::run_sharded(shards, text);
-}
-
-std::size_t IngestEngine::point_count() const {
-  if (external_ != nullptr) return external_->point_count();
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->storage->point_count();
-  return total;
-}
-
-std::vector<std::string> IngestEngine::measurements() const {
-  if (external_ != nullptr) return external_->measurements();
-  std::set<std::string> names;
-  for (const auto& shard : shards_) {
-    for (auto& name : shard->storage->measurements()) {
-      names.insert(std::move(name));
-    }
-  }
-  return {names.begin(), names.end()};
 }
 
 // ------------------------------------------------------------ introspection

@@ -19,10 +19,10 @@
 //                    on ingest and emit aggregated points without rescanning
 //                    raw data, feeding superdb's AGGObservationInterface.
 //
-// Storage modes: by default each shard owns a private TimeSeriesDb and
-// queries merge across shards (query::run_sharded); alternatively the
-// engine can be attached to an external TimeSeriesDb (the daemon's), where
-// shards act as batching/backpressure stages in front of the shared DB.
+// Storage: every engine writes exactly one TimeSeriesDb — a private one it
+// allocates, or one its caller owns (the daemon's, a fleet node's).  Shards
+// are only queues and workers in front of that DB; it is already
+// concurrent, so readers query it directly (query::run(engine.db(), ...)).
 //
 // The engine also keeps self-telemetry counters (points/sec, queue depths,
 // drops, spills) exposed as an ObservationInterface-able measurement so
@@ -76,7 +76,7 @@ struct IngestOptions {
   bool wal_sync_each_append = false;
   /// Automatic checkpoint trigger: when a flush() finds more than this many
   /// WAL segments on disk, the engine checkpoints (snapshot storage into
-  /// <wal_dir>/checkpoint*.lp, then truncate the log).  0 = no automatic
+  /// <wal_dir>/checkpoint.lp, then truncate the log).  0 = no automatic
   /// trigger; checkpoint() remains available.  Env: PMOVE_WAL_MAX_SEGMENTS.
   std::size_t wal_max_segments = 0;
 
@@ -155,10 +155,11 @@ struct IngestStats {
 
 class IngestEngine final : public tsdb::PointSink {
  public:
-  /// `external` != nullptr attaches the engine to an existing DB instead of
-  /// per-shard storage.  Call open() before submitting.
+  /// `db` != nullptr makes the engine write into a DB its caller owns;
+  /// otherwise the engine allocates a private one.  Call open() before
+  /// submitting.
   explicit IngestEngine(IngestOptions options,
-                        tsdb::TimeSeriesDb* external = nullptr);
+                        tsdb::TimeSeriesDb* db = nullptr);
   ~IngestEngine() override;
 
   IngestEngine(const IngestEngine&) = delete;
@@ -201,16 +202,15 @@ class IngestEngine final : public tsdb::PointSink {
   /// doubles as the segment-count trigger.
   Status flush();
 
-  /// Durability checkpoint: drains in-flight batches, snapshots storage to
-  /// <wal_dir>/checkpoint[-shard<i>].lp (atomic tmp+rename), then truncates
-  /// every WAL segment.  Producers pause at the WAL gate for the duration,
-  /// so no acknowledged record can fall between snapshot and truncation.
-  /// Per-shard storage: the next open() loads the snapshots before
-  /// replaying the (short) log.  External storage: the snapshot is written
-  /// but NOT auto-loaded on open — the attached DB's owner restores state
-  /// (the daemon's save_session dumps, then calls this; load_session
-  /// restores the dump and open() replays only the post-checkpoint tail).
-  /// No-op without a WAL.  Replaces the manual-only wal().checkpoint() flow.
+  /// Durability checkpoint: drains in-flight batches, snapshots the DB to
+  /// <wal_dir>/checkpoint.lp (atomic tmp+rename), then truncates every WAL
+  /// segment.  Producers pause at the WAL gate for the duration, so no
+  /// acknowledged record can fall between snapshot and truncation.
+  /// Restore is the DB owner's job: an engine that owns its DB loads the
+  /// snapshot in open() before replaying the (short) log; a caller-owned
+  /// DB is restored by its owner (the daemon's save_session dumps, then
+  /// calls this; load_session restores the dump and open() replays only
+  /// the post-checkpoint tail).  No-op without a WAL.
   Status checkpoint();
 
   // ------------------------------------------------- continuous queries
@@ -229,13 +229,9 @@ class IngestEngine final : public tsdb::PointSink {
 
   // ------------------------------------------------------------ read path
 
-  /// Query over the full data set; per-shard slices are merged so results
-  /// match a single-DB query over the union (external mode: delegates).
-  [[nodiscard]] Expected<tsdb::QueryResult> query(
-      std::string_view text) const;
-
-  [[nodiscard]] std::size_t point_count() const;
-  [[nodiscard]] std::vector<std::string> measurements() const;
+  /// The DB every shard writes into (owned or the caller's).
+  [[nodiscard]] const tsdb::TimeSeriesDb& db() const { return *db_; }
+  [[nodiscard]] std::size_t point_count() const { return db_->point_count(); }
 
   // -------------------------------------------------------- introspection
 
@@ -286,7 +282,6 @@ class IngestEngine final : public tsdb::PointSink {
   struct Shard {
     explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
     BoundedQueue<Batch> queue;
-    std::unique_ptr<tsdb::TimeSeriesDb> storage;  ///< null in external mode
     std::thread worker;
     // Spill tier: overflow batches (already WAL-durable) the worker drains
     // after each queue round.
@@ -331,15 +326,16 @@ class IngestEngine final : public tsdb::PointSink {
   /// flush() minus the auto-checkpoint trigger (checkpoint() itself needs
   /// to drain without recursing).
   void wait_drained();
-  /// Loads checkpoint snapshot files into storage (recovery, before WAL
-  /// replay).  Missing files are fine — there was no checkpoint yet.
-  Status load_snapshots();
-  Status write_snapshots() const;
-  [[nodiscard]] std::string snapshot_path(int shard) const;
+  /// Loads the checkpoint snapshot into an owned DB (recovery, before WAL
+  /// replay).  A missing file is fine — there was no checkpoint yet.
+  Status load_snapshot();
+  Status write_snapshot() const;
+  [[nodiscard]] std::string snapshot_path() const {
+    return options_.wal_dir + "/checkpoint.lp";
+  }
   void worker_loop(Shard& shard);
   void apply_batch(Shard& shard, Batch batch);
   void update_aggregates(Shard& shard, const Batch& batch);
-  Status insert_points(Shard& shard, Batch batch);
   void note_applied(std::size_t batches);
   /// One guarded delivery attempt: breaker -> retry -> sink.  ok() means
   /// the batch is in storage (or was poison and got counted + dropped);
@@ -353,7 +349,8 @@ class IngestEngine final : public tsdb::PointSink {
                         const Status& status);
 
   IngestOptions options_;
-  tsdb::TimeSeriesDb* external_ = nullptr;
+  std::unique_ptr<tsdb::TimeSeriesDb> owned_;  ///< null when borrowed
+  tsdb::TimeSeriesDb* db_ = nullptr;           ///< never null
   const Clock* clock_ = nullptr;  ///< never null after construction
   SleepFn sleep_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -94,12 +94,4 @@ Expected<tsdb::QueryResult> run(const tsdb::TimeSeriesDb& db, const Query& q,
 Expected<tsdb::QueryResult> run(const tsdb::TimeSeriesDb& db,
                                 std::string_view text);
 
-/// Typed execution across shard DBs, merged in time order so results are
-/// identical to a single-DB query over the union.
-Expected<tsdb::QueryResult> run_sharded(
-    const std::vector<const tsdb::TimeSeriesDb*>& shards, const Query& q);
-Expected<tsdb::QueryResult> run_sharded(
-    const std::vector<const tsdb::TimeSeriesDb*>& shards,
-    std::string_view text);
-
 }  // namespace pmove::query

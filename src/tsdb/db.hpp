@@ -245,8 +245,8 @@ class TimeSeriesDb : public PointSink {
 
   /// Enables pmove_tsdb self-telemetry: after every mutation the storage
   /// gauges (series/points/dict/column bytes, run counters) are refreshed
-  /// under the given instance tag.  Off by default — per-shard ingest DBs
-  /// stay silent; the daemon names its primary DB.
+  /// under the given instance tag.  Off by default — a DB that nobody
+  /// names stays silent; the daemon names its primary DB.
   void set_telemetry_instance(const std::string& instance);
 
  private:

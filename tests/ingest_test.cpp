@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -153,7 +154,7 @@ TEST(IngestEngineTest, ShardedQueryMatchesSingleDb) {
         "SELECT max(\"value\") FROM \"cycles\" WHERE tag=\"t3\"",
         "SELECT count(\"value\") FROM \"cycles\" WHERE time >= 500 AND "
         "time <= 1500"}) {
-    auto sharded = engine.query(query);
+    auto sharded = pmove::query::run(engine.db(), query);
     auto single = pmove::query::run(reference, query);
     ASSERT_TRUE(sharded.has_value()) << query;
     ASSERT_TRUE(single.has_value()) << query;
@@ -162,11 +163,9 @@ TEST(IngestEngineTest, ShardedQueryMatchesSingleDb) {
     for (std::size_t r = 0; r < single->rows.size(); ++r) {
       ASSERT_EQ(sharded->rows[r].size(), single->rows[r].size());
       for (std::size_t c = 0; c < single->rows[r].size(); ++c) {
-        if (std::isnan(single->rows[r][c])) {
-          EXPECT_TRUE(std::isnan(sharded->rows[r][c])) << query;
-        } else {
-          EXPECT_DOUBLE_EQ(sharded->rows[r][c], single->rows[r][c]) << query;
-        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(sharded->rows[r][c]),
+                  std::bit_cast<std::uint64_t>(single->rows[r][c]))
+            << query << " row " << r << " col " << c;
       }
     }
   }
@@ -395,7 +394,8 @@ TEST(IngestEngineTest, RecoveryRestoresEveryAcknowledgedBatch) {
   ASSERT_TRUE(recovered.open().is_ok());
   EXPECT_EQ(recovered.stats().recovered_points, acknowledged);
   EXPECT_EQ(recovered.point_count(), acknowledged);
-  auto result = recovered.query("SELECT count(\"value\") FROM \"cycles\"");
+  auto result = pmove::query::run(recovered.db(),
+                                  "SELECT count(\"value\") FROM \"cycles\"");
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_DOUBLE_EQ(result->rows[0][1], static_cast<double>(acknowledged));
@@ -448,8 +448,7 @@ TEST(IngestEngineTest, CheckpointSnapshotsAndRecoveryAvoidsDuplicates) {
     // The log is truncated down to one fresh, empty segment; the snapshots
     // carry the 10 points.
     EXPECT_EQ(engine.wal().segment_count(), 1u);
-    EXPECT_TRUE(fs::exists(fs::path(dir.path) / "checkpoint-shard0.lp") ||
-                fs::exists(fs::path(dir.path) / "checkpoint-shard1.lp"));
+    EXPECT_TRUE(fs::exists(fs::path(dir.path) / "checkpoint.lp"));
     // More traffic after the checkpoint lands only in the fresh log.
     for (int b = 10; b < 14; ++b) {
       ASSERT_TRUE(engine
@@ -463,7 +462,8 @@ TEST(IngestEngineTest, CheckpointSnapshotsAndRecoveryAvoidsDuplicates) {
   // Snapshot (10) + replayed tail (4), each exactly once.
   EXPECT_EQ(recovered.point_count(), 14u);
   EXPECT_EQ(recovered.stats().recovered_points, 14u);
-  auto result = recovered.query("SELECT count(\"value\") FROM \"m\"");
+  auto result =
+      pmove::query::run(recovered.db(), "SELECT count(\"value\") FROM \"m\"");
   ASSERT_TRUE(result.has_value());
   EXPECT_DOUBLE_EQ(result->rows[0][1], 14.0);
   recovered.close();
@@ -516,8 +516,8 @@ TEST(IngestEngineTest, CheckpointAndRecoveryWithPackedRuns) {
   IngestEngine recovered(options, &recovered_sink);
   ASSERT_TRUE(recovered.open().is_ok());
   EXPECT_EQ(recovered.point_count(), 602u);
-  auto result =
-      recovered.query("SELECT count(\"value\"), sum(\"value\") FROM \"m\"");
+  auto result = pmove::query::run(
+      recovered.db(), "SELECT count(\"value\"), sum(\"value\") FROM \"m\"");
   ASSERT_TRUE(result.has_value());
   EXPECT_DOUBLE_EQ(result->rows[0][1], 602.0);
   recovered.close();
@@ -592,6 +592,49 @@ TEST(IngestEngineTest, ExternalModeCheckpointLeavesRestoreToOwner) {
   ASSERT_TRUE(reopened.open().is_ok());
   EXPECT_EQ(restored.point_count(), 7u);  // 6 snapshot + 1 tail, no dupes
   reopened.close();
+}
+
+TEST(IngestEngineTest, CheckpointRestoresAcrossShardCountChange) {
+  // An engine that owns its DB snapshots it to one checkpoint.lp, so the
+  // restore does not depend on the shard count the snapshot was taken with.
+  for (const int reopen_shards : {2, 8}) {
+    SCOPED_TRACE("reopen with " + std::to_string(reopen_shards) + " shards");
+    TempDir dir("engine_reshard");
+    IngestOptions options;
+    options.shard_count = 4;
+    options.wal_dir = dir.path;
+    {
+      IngestEngine engine(options);
+      ASSERT_TRUE(engine.open().is_ok());
+      for (int i = 0; i < 45; ++i) {
+        // Points 40..44 are the post-checkpoint WAL tail.
+        if (i == 40) ASSERT_TRUE(engine.checkpoint().is_ok());
+        ASSERT_TRUE(engine
+                        .submit({make_point("m", i, static_cast<double>(i),
+                                            "t" + std::to_string(i))})
+                        .is_ok());
+      }
+      // Crash: no flush, no close.
+    }
+    std::vector<std::string> snapshots;
+    for (const auto& entry : fs::directory_iterator(dir.path)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("checkpoint", 0) == 0) snapshots.push_back(name);
+    }
+    EXPECT_EQ(snapshots, std::vector<std::string>{"checkpoint.lp"});
+
+    options.shard_count = reopen_shards;
+    IngestEngine recovered(options);
+    ASSERT_TRUE(recovered.open().is_ok());
+    EXPECT_EQ(recovered.point_count(), 45u);
+    EXPECT_EQ(recovered.stats().recovered_points, 45u);
+    auto result = pmove::query::run(
+        recovered.db(), "SELECT count(\"value\"), sum(\"value\") FROM \"m\"");
+    ASSERT_TRUE(result.has_value());
+    EXPECT_DOUBLE_EQ(result->rows[0][1], 45.0);
+    EXPECT_DOUBLE_EQ(result->rows[0][2], 44.0 * 45.0 / 2.0);
+    recovered.close();
+  }
 }
 
 // ------------------------------------------------------------ backpressure
@@ -764,8 +807,8 @@ TEST(IngestEngineTest, ContinuousQueryDownsamplesWithoutRescan) {
   ASSERT_TRUE(engine.submit(std::move(batch)).is_ok());
   // Watermark past windows 0 and 1 only.
   ASSERT_TRUE(engine.close_windows(2 * kNsPerSec).is_ok());
-  auto result = engine.query(
-      "SELECT * FROM \"cycles_mean_1000000000ns\"");
+  auto result = pmove::query::run(
+      engine.db(), "SELECT * FROM \"cycles_mean_1000000000ns\"");
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->rows.size(), 2u);
   // mean of {0,1,2,3} = 1.5 and {10,11,12,13} = 11.5.
@@ -774,7 +817,8 @@ TEST(IngestEngineTest, ContinuousQueryDownsamplesWithoutRescan) {
   EXPECT_EQ(engine.stats().downsampled_points, 2u);
   // Window 2 emits once the watermark passes it.
   ASSERT_TRUE(engine.close_windows(3 * kNsPerSec).is_ok());
-  result = engine.query("SELECT * FROM \"cycles_mean_1000000000ns\"");
+  result = pmove::query::run(engine.db(),
+                             "SELECT * FROM \"cycles_mean_1000000000ns\"");
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->rows.size(), 3u);
   engine.close();
@@ -799,8 +843,8 @@ TEST(IngestEngineTest, SeriesAggregatesMatchQueriedStats) {
   EXPECT_DOUBLE_EQ(agg.min, 0.0);
   EXPECT_DOUBLE_EQ(agg.max, 99.0);
   EXPECT_DOUBLE_EQ(agg.mean(), 49.5);
-  auto queried =
-      engine.query("SELECT stddev(\"value\") FROM \"cycles\"");
+  auto queried = pmove::query::run(engine.db(),
+                                   "SELECT stddev(\"value\") FROM \"cycles\"");
   ASSERT_TRUE(queried.has_value());
   EXPECT_NEAR(agg.stddev(), queried->rows[0][1], 1e-9);
   engine.close();
@@ -902,8 +946,8 @@ TEST(IngestEngineTest, SelfTelemetryLandsInStorage) {
   ASSERT_TRUE(engine.flush().is_ok());
   ASSERT_TRUE(engine.publish_self_telemetry(kNsPerSec, "obs1").is_ok());
   ASSERT_TRUE(engine.flush().is_ok());
-  auto result = engine.query(
-      "SELECT * FROM \"pmove_ingest\" WHERE tag=\"obs1\"");
+  auto result = pmove::query::run(
+      engine.db(), "SELECT * FROM \"pmove_ingest\" WHERE tag=\"obs1\"");
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->rows.size(), 1u);
   engine.close();
@@ -995,6 +1039,53 @@ TEST(IngestEngineTest, OversizedSubmitIsRefusedWithoutAckOrWalFault) {
   EXPECT_EQ(recovered.stats().recovered_points, 2u);
   EXPECT_EQ(recovered.point_count(), 2u);
   recovered.close();
+}
+
+TEST(IngestEngineTest, OversizedSubmitIsNotCountedAsSubmitted) {
+  TempDir dir("oversized_accounting");
+  IngestOptions options;
+  options.wal_dir = dir.path;
+  IngestEngine engine(options);
+  ASSERT_TRUE(engine.open().is_ok());
+  ASSERT_TRUE(engine.submit({make_point("m", 1, 1.0, "a")}).is_ok());
+  const std::string huge =
+      "m,tag=" + std::string(64u << 20, 'x') + " value=2 2\n";
+  EXPECT_EQ(engine.submit_lines(huge).code(), ErrorCode::kOutOfRange);
+  ASSERT_TRUE(engine.submit({make_point("m", 3, 3.0, "a")}).is_ok());
+  ASSERT_TRUE(engine.flush().is_ok());
+  // Every submitted point is accounted for: the refused one was never
+  // acknowledged, so it is neither submitted nor dropped.
+  const IngestStats stats = engine.stats();
+  EXPECT_EQ(stats.submitted_batches, 2u);
+  EXPECT_EQ(stats.submitted_points, 2u);
+  EXPECT_EQ(stats.inserted_points, 2u);
+  EXPECT_EQ(stats.dropped_points, 0u);
+  engine.close();
+}
+
+TEST(IngestEngineTest, WalFailureIsNotCountedAsSubmitted) {
+  TempDir dir("wal_fail_accounting");
+  IngestOptions options;
+  options.shard_count = 1;
+  options.wal_dir = dir.path;
+  options.wal_retry.max_attempts = 2;
+  options.wal_retry.initial_backoff_ns = 100'000;  // keep the test fast
+  IngestEngine engine(options);
+  ASSERT_TRUE(engine.open().is_ok());
+  ASSERT_TRUE(engine.submit({make_point("m", 1, 1.0)}).is_ok());
+  // Both append attempts fail: the batch is refused, not acknowledged.
+  ASSERT_TRUE(fault::arm_from_spec("wal.append=fail:2").is_ok());
+  EXPECT_FALSE(engine.submit({make_point("m", 2, 2.0)}).is_ok());
+  fault::disarm("wal.append");
+  ASSERT_TRUE(engine.submit({make_point("m", 3, 3.0)}).is_ok());
+  ASSERT_TRUE(engine.flush().is_ok());
+  const IngestStats stats = engine.stats();
+  EXPECT_EQ(stats.wal_failures, 1u);
+  EXPECT_EQ(stats.submitted_batches, 2u);
+  EXPECT_EQ(stats.submitted_points, 2u);
+  EXPECT_EQ(stats.inserted_points, 2u);
+  EXPECT_EQ(engine.point_count(), 2u);
+  engine.close();
 }
 
 TEST(IngestEngineTest, SubmitLinesDecodesOnce) {

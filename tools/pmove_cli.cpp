@@ -42,8 +42,6 @@
 #include "metrics/names.hpp"
 #include "metrics/registry.hpp"
 #include "query/engine.hpp"
-#include "query/parallel_bench.hpp"
-#include "query/storage_bench.hpp"
 #include "topology/prober.hpp"
 
 using namespace pmove;
@@ -75,14 +73,6 @@ int usage() {
       "  ingest-bench [n] [shards] [batch] [producers] [--fault <spec>]\n"
       "                                      per-point DB vs ingest engine\n"
       "  query-bench [panels] [refr] [n] [w] string vs typed vs cached reads\n"
-      "  query-bench --threads N [--series N] [--points N]\n"
-      "                                      parallel evaluator sweep vs\n"
-      "                                      1-thread parity baseline\n"
-      "  storage-bench [--packed] [n] [tagsets] [fields]\n"
-      "                                      columnar engine vs seed row "
-      "store\n"
-      "                                      (--packed: + compression "
-      "phase)\n"
       "  fleet [--wire] [nodes] [series] [points]\n"
       "                                      execution-tier demo: sharded\n"
       "                                      writes, scatter/gather, chaos\n"
@@ -718,34 +708,6 @@ int cmd_ingest_bench(int argc, char** argv) {
   return 0;
 }
 
-// Parallel-execution spot check: the interactive face of
-// bench/ablation_query (same harness, no JSON artifact), narrowed to one
-// (threads, series) cell plus its single-thread parity baseline.
-int cmd_query_bench_parallel(int argc, char** argv) {
-  query::QueryBenchConfig config;
-  std::size_t threads = 0;
-  std::size_t series = 0;
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      threads = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--series") == 0) {
-      series = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--points") == 0) {
-      config.total_points = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    }
-  }
-  if (threads == 0 && series == 0) return usage();
-  if (series != 0) config.series_counts = {series};
-  if (threads <= 1) {
-    config.threads = {1};
-  } else {
-    config.threads = {1, threads};  // 1 stays in: the parity baseline
-  }
-  const auto result = query::run_query_bench(config);
-  query::print_report(result);
-  return result.all_ok() ? 0 : 1;
-}
-
 // Head-to-head of the read paths over dashboard-shaped queries: the seed
 // string path (reparse + rescan every refresh), the typed path (prebuilt
 // Query, rescan every refresh), and the query engine (prebuilt Query +
@@ -753,15 +715,7 @@ int cmd_query_bench_parallel(int argc, char** argv) {
 // own measurements the whole time, so every path also contends with live
 // ingestion through the DB's shared_mutex — the recorded-observation
 // dashboard shape, where refreshed panels aren't the series being written.
-// With --threads/--series it instead runs the parallel-evaluator sweep
-// (cmd_query_bench_parallel above).
 int cmd_query_bench(int argc, char** argv) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 ||
-        std::strcmp(argv[i], "--series") == 0) {
-      return cmd_query_bench_parallel(argc, argv);
-    }
-  }
   const std::size_t panels =
       argc > 2 ? std::max<std::size_t>(
                      1, static_cast<std::size_t>(std::atoll(argv[2])))
@@ -913,34 +867,6 @@ int cmd_query_bench(int argc, char** argv) {
               static_cast<unsigned long long>(stats.cache_misses),
               static_cast<unsigned long long>(produced_total));
   return 0;
-}
-
-// Columnar engine vs the seed row store on one multi-tag-set workload:
-// the interactive face of bench/ablation_storage (same harness, no JSON
-// artifact) for spot-checking the storage numbers on a new machine.
-int cmd_storage_bench(int argc, char** argv) {
-  query::StorageBenchConfig config;
-  int arg = 2;
-  if (arg < argc && std::strcmp(argv[arg], "--packed") == 0) {
-    config.packed_phase = true;
-    ++arg;
-  }
-  if (arg < argc) {
-    config.points = static_cast<std::size_t>(std::atoll(argv[arg++]));
-  }
-  if (arg < argc) {
-    config.tagsets = static_cast<std::size_t>(std::atoll(argv[arg++]));
-  }
-  if (arg < argc) {
-    config.fields = static_cast<std::size_t>(std::atoll(argv[arg++]));
-  }
-  if (config.points == 0 || config.tagsets == 0 || config.fields == 0) {
-    return usage();
-  }
-  const auto result = query::run_storage_bench(config);
-  query::print_report(result);
-  if (result.packed_ran && !result.packed_parity_ok) return 1;
-  return result.parity_ok ? 0 : 1;
 }
 
 // Fleet execution tier end to end: N nodes behind the consistent-hash
@@ -1124,7 +1050,6 @@ int main(int argc, char** argv) {
   if (command == "metrics") return cmd_metrics(argc, argv);
   if (command == "ingest-bench") return cmd_ingest_bench(argc, argv);
   if (command == "query-bench") return cmd_query_bench(argc, argv);
-  if (command == "storage-bench") return cmd_storage_bench(argc, argv);
   if (command == "fleet") return cmd_fleet(argc, argv);
   return usage();
 }
