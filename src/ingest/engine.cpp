@@ -8,7 +8,6 @@
 #include "metrics/names.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace pmove::ingest {
 
@@ -17,30 +16,23 @@ namespace {
 constexpr std::int64_t kWorkerIdleNs = 50'000'000;  // spill-drain cadence
 constexpr char kKeySep = '\x1f';
 
-std::uint64_t fnv1a(std::uint64_t hash, std::string_view data) {
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::string series_key(const std::string& measurement,
+std::string series_key(std::string_view measurement,
                        std::string_view tag_value) {
-  std::string key = measurement;
+  std::string key(measurement);
   key += kKeySep;
   key += tag_value;
   return key;
 }
 
-std::string window_key(std::size_t rule_index, const tsdb::Point& point,
+std::string window_key(std::size_t rule_index, const tsdb::PointBatch& batch,
+                       const tsdb::PointBatch::Series& series,
                        TimeNs window_start) {
   std::string key = std::to_string(rule_index);
   key += kKeySep;
-  for (const auto& [k, v] : point.tags) {
-    key += k;
+  for (const tsdb::PointBatch::Tag& tag : batch.tags(series)) {
+    key += batch.text(tag.key);
     key += '=';
-    key += v;
+    key += batch.text(tag.value);
     key += ',';
   }
   key += kKeySep;
@@ -48,42 +40,26 @@ std::string window_key(std::size_t rule_index, const tsdb::Point& point,
   return key;
 }
 
-// Folds a point's fields into per-field aggregates.  Both maps are sorted
-// by field name, so they are walked together: a series' points almost
-// always carry the field set its aggregates already hold, and each field
-// then costs one string compare instead of a tree lookup.
+// Folds a row's fields into per-field aggregates.  Both are sorted by
+// field name, so they are walked together: a series' rows almost always
+// carry the field set its aggregates already hold, and each field then
+// costs one string compare instead of a tree lookup.
 void add_fields(std::map<std::string, FieldAggregate>& aggregates,
-                const tsdb::Point& point) {
+                const tsdb::PointBatch& batch,
+                std::span<const tsdb::PointBatch::Field> fields) {
   auto it = aggregates.begin();
-  for (const auto& [field, value] : point.fields) {
-    if (it == aggregates.end() || it->first != field) {
-      it = aggregates.lower_bound(field);
-      if (it == aggregates.end() || it->first != field) {
-        it = aggregates.emplace_hint(it, field, FieldAggregate{});
+  for (const tsdb::PointBatch::Field& field : fields) {
+    const std::string_view name = batch.text(field.name);
+    if (it == aggregates.end() || it->first != name) {
+      std::string key(name);
+      it = aggregates.lower_bound(key);
+      if (it == aggregates.end() || it->first != key) {
+        it = aggregates.emplace_hint(it, std::move(key), FieldAggregate{});
       }
     }
-    it->second.add(value);
+    it->second.add(field.value);
     ++it;
   }
-}
-
-// Parses newline-separated line protocol, skipping blank lines.  Both
-// submit_lines and WAL replay use it, so replay rebuilds exactly the points
-// a logged text was acknowledged with.
-Status parse_lines(std::string_view text, std::vector<tsdb::Point>& batch) {
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    if (!strings::trim(line).empty()) {
-      auto point = tsdb::Point::from_line(line);
-      if (!point) return point.status();
-      batch.push_back(std::move(point.value()));
-    }
-    start = end + 1;
-  }
-  return Status::ok();
 }
 
 TimeNs window_floor(TimeNs t, TimeNs window) {
@@ -173,6 +149,21 @@ Status IngestEngine::open() {
     wal_options.segment_bytes = options_.wal_segment_bytes;
     wal_options.sync_each_append = options_.wal_sync_each_append;
     if (Status s = wal_.open(std::move(wal_options)); !s.is_ok()) return s;
+  }
+  if (recovered_) {
+    // Reopened after close(): the DB already holds everything this engine
+    // applied, so replaying the log would double it.  Only the batches
+    // close() abandoned (WAL-durable, never applied) are still owed; the
+    // workers deliver them first.
+    for (auto& shard : shards_) {
+      std::lock_guard<std::mutex> lock(pending_mutex_);
+      pending_ += shard->abandoned.size();
+      for (Batch& batch : shard->abandoned) {
+        shard->parked.push_back(std::move(batch));
+      }
+      shard->abandoned.clear();
+    }
+  } else if (wal_enabled()) {
     // Checkpoint snapshots hold everything that was truncated out of the
     // log; the log holds only post-checkpoint records, so loading the
     // snapshot first and then replaying reproduces the full state with no
@@ -184,29 +175,26 @@ Status IngestEngine::open() {
     // volatile, so the log remains the source of durability until an
     // explicit checkpoint.
     Status replay_status = wal_.replay([this](std::string_view payload) {
-      Batch batch;
-      if (Status s = parse_lines(payload, batch); !s.is_ok()) return s;
-      if (batch.empty()) return Status::ok();
-      recovered_points_ += batch.size();
-      m_recovered_->add(batch.size());
-      std::vector<Batch> parts(shards_.size());
-      for (tsdb::Point& p : batch) {
-        parts[static_cast<std::size_t>(shard_of(p))].push_back(std::move(p));
-      }
+      auto batch = Batch::parse(payload);
+      if (!batch) return batch.status();
+      if (batch->empty()) return Status::ok();
+      recovered_points_ += batch->size();
+      m_recovered_->add(batch->size());
+      std::vector<Batch> parts = route(std::move(batch.value()));
       for (std::size_t i = 0; i < parts.size(); ++i) {
         if (parts[i].empty()) continue;
         update_aggregates(*shards_[i], parts[i]);
         inserted_points_ += parts[i].size();
-        if (Status s = db_->write_batch(std::move(parts[i])); !s.is_ok()) {
-          return s;
-        }
+        if (Status s = db_->write_batch(parts[i]); !s.is_ok()) return s;
       }
       return Status::ok();
     });
     if (!replay_status.is_ok()) return replay_status;
   }
+  recovered_ = true;
   running_ = true;
   for (auto& shard : shards_) {
+    shard->queue.reopen();
     shard->worker = std::thread([this, raw = shard.get()] {
       worker_loop(*raw);
     });
@@ -232,43 +220,60 @@ void IngestEngine::close() {
 }
 
 Status IngestEngine::reopen() {
-  if (!running_) return open();
-  // The engine is alive; the supervisor believes the downstream fault is
-  // fixed.  Force the breakers closed so traffic (and parked replay)
-  // resumes immediately instead of waiting out cooldowns.
+  // The supervisor believes the downstream fault is fixed.  Force the
+  // breakers closed so traffic (and parked replay) resumes immediately
+  // instead of waiting out cooldowns; a closed engine then resumes in place
+  // without replaying what its DB already holds (see open()).
   for (auto& shard : shards_) shard->breaker->reset();
   wal_breaker_->reset();
+  if (!running_) return open();
   return Status::ok();
 }
 
 // --------------------------------------------------------------- write path
 
-Status IngestEngine::submit(Batch batch) {
-  return submit_internal(std::move(batch), std::nullopt, SubmitMode::kPolicy,
-                         -1);
+Status IngestEngine::submit(std::vector<tsdb::Point> batch) {
+  return submit_points(batch, SubmitMode::kPolicy, -1);
 }
 
-Status IngestEngine::try_submit(Batch batch) {
-  return submit_internal(std::move(batch), std::nullopt, SubmitMode::kNever,
-                         -1);
+Status IngestEngine::try_submit(std::vector<tsdb::Point> batch) {
+  return submit_points(batch, SubmitMode::kNever, -1);
 }
 
-Status IngestEngine::submit_with_timeout(Batch batch, TimeNs timeout_ns) {
-  return submit_internal(std::move(batch), std::nullopt, SubmitMode::kTimeout,
-                         timeout_ns);
+Status IngestEngine::submit_with_timeout(std::vector<tsdb::Point> batch,
+                                         TimeNs timeout_ns) {
+  return submit_points(batch, SubmitMode::kTimeout, timeout_ns);
 }
 
-Status IngestEngine::write_batch(Batch points) {
+Status IngestEngine::write_batch(std::vector<tsdb::Point> points) {
   return submit(std::move(points));
 }
 
+Status IngestEngine::submit_points(const std::vector<tsdb::Point>& points,
+                                   SubmitMode mode, TimeNs timeout_ns) {
+  if (!running_) return Status::unavailable("ingest engine not open");
+  auto batch = Batch::from_points(points);
+  if (!batch) return batch.status();
+  return submit_internal(std::move(batch.value()), std::nullopt, mode,
+                         timeout_ns);
+}
+
 Status IngestEngine::submit_lines(std::string_view text) {
-  Batch batch;
-  if (Status s = parse_lines(text, batch); !s.is_ok()) return s;
-  if (batch.empty()) return Status::ok();
+  auto batch = Batch::parse(text);
+  if (!batch) return batch.status();
   // Every line parsed, so the text itself is the WAL record: replay parses
-  // it with the same parser and rebuilds the same points.
-  return submit_internal(std::move(batch), text, SubmitMode::kPolicy, -1);
+  // it with the same parser and rebuilds the same rows.
+  return submit_internal(std::move(batch.value()), text, SubmitMode::kPolicy,
+                         -1);
+}
+
+std::vector<IngestEngine::Batch> IngestEngine::route(Batch batch) const {
+  if (shards_.size() == 1) {
+    std::vector<Batch> parts;
+    parts.push_back(std::move(batch));
+    return parts;
+  }
+  return batch.split(shards_.size());
 }
 
 Status IngestEngine::wal_append_batch(const Batch& batch,
@@ -281,10 +286,7 @@ Status IngestEngine::wal_append_batch(const Batch& batch,
   }
   std::string rendered;
   if (!lines.has_value()) {
-    for (const tsdb::Point& p : batch) {
-      rendered += p.to_line();
-      rendered += '\n';
-    }
+    rendered = batch.to_text();
     lines = rendered;
   }
   Status result =
@@ -312,14 +314,6 @@ Status IngestEngine::submit_internal(Batch batch,
                                      SubmitMode mode, TimeNs timeout_ns) {
   if (!running_) return Status::unavailable("ingest engine not open");
   if (batch.empty()) return Status::ok();
-  for (const tsdb::Point& p : batch) {
-    if (p.measurement.empty()) {
-      return Status::invalid_argument("point missing measurement");
-    }
-    if (p.fields.empty()) {
-      return Status::invalid_argument("point has no fields");
-    }
-  }
   // Held (shared) across append + queue hand-off so checkpoint() can never
   // truncate a record whose batch has not reached pending_ yet — the gap
   // between "in the WAL" and "counted by wait_drained" would otherwise lose
@@ -334,10 +328,7 @@ Status IngestEngine::submit_internal(Batch batch,
   submitted_points_ += batch.size();
   m_submitted_->add(batch.size());
 
-  std::vector<Batch> parts(shards_.size());
-  for (tsdb::Point& p : batch) {
-    parts[static_cast<std::size_t>(shard_of(p))].push_back(std::move(p));
-  }
+  std::vector<Batch> parts = route(std::move(batch));
 
   Status result = Status::ok();
   for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -477,7 +468,7 @@ Status IngestEngine::deliver_batch(Shard& shard, Batch& batch) {
   }
   update_aggregates(shard, batch);
   const std::size_t n = batch.size();
-  if (Status s = db_->write_batch(std::move(batch)); !s.is_ok()) {
+  if (Status s = db_->write_batch(batch); !s.is_ok()) {
     // Points were validated at submit, so a refusal here is deterministic
     // (poison), not an outage: count it and drop rather than retry the
     // same error forever.
@@ -526,11 +517,13 @@ void IngestEngine::drain_parked(Shard& shard) {
   }
   if (!shard.parked.empty() &&
       draining_.load(std::memory_order_acquire)) {
-    // Closing with the sink still down: drop the in-memory copies.  They
-    // were acknowledged against the WAL, so the next open() replays them.
+    // Closing with the sink still down: stop waiting for them.  They were
+    // acknowledged against the WAL, so a fresh engine's open() replays
+    // them, and reopening this engine re-parks them.
     while (!shard.parked.empty()) {
       abandoned_points_ += shard.parked.front().size();
       m_abandoned_->add(shard.parked.front().size());
+      shard.abandoned.push_back(std::move(shard.parked.front()));
       shard.parked.pop_front();
       note_applied(1);
     }
@@ -552,35 +545,35 @@ void IngestEngine::report_component(std::atomic<bool>& healthy,
 
 void IngestEngine::update_aggregates(Shard& shard, const Batch& batch) {
   std::lock_guard<std::mutex> lock(shard.agg_mutex);
-  // Batches overwhelmingly carry runs of points from one series; cache the
-  // totals bucket so only the first point of a run pays the key build + map
-  // lookup.
-  const std::string empty_tag;
-  std::string cached_measurement, cached_tag;
-  std::map<std::string, FieldAggregate>* totals = nullptr;
-  for (const tsdb::Point& point : batch) {
-    auto tag = point.tags.find("tag");
-    const std::string& tag_value =
-        tag == point.tags.end() ? empty_tag : tag->second;
-    if (totals == nullptr || point.measurement != cached_measurement ||
-        tag_value != cached_tag) {
-      totals = &shard.totals[series_key(point.measurement, tag_value)];
-      cached_measurement = point.measurement;
-      cached_tag = tag_value;
+  // One totals bucket per distinct series of the batch, looked up once.
+  const std::span<const tsdb::PointBatch::Series> keys = batch.series();
+  std::vector<std::map<std::string, FieldAggregate>*> totals(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    std::string_view tag_value;
+    for (const tsdb::PointBatch::Tag& tag : batch.tags(keys[i])) {
+      if (batch.text(tag.key) == "tag") tag_value = batch.text(tag.value);
     }
-    add_fields(*totals, point);
+    totals[i] =
+        &shard.totals[series_key(batch.text(keys[i].measurement), tag_value)];
+  }
+  for (const tsdb::PointBatch::Row& row : batch.rows()) {
+    add_fields(*totals[row.series], batch, batch.fields(row));
+    const tsdb::PointBatch::Series& key = keys[row.series];
     for (std::size_t r = 0; r < continuous_.size(); ++r) {
       const ContinuousQuery& rule = continuous_[r];
-      if (rule.source_measurement != point.measurement) continue;
-      const TimeNs start = window_floor(point.time, rule.window_ns);
-      WindowState& window = shard.windows[window_key(r, point, start)];
+      if (rule.source_measurement != batch.text(key.measurement)) continue;
+      const TimeNs start = window_floor(row.time, rule.window_ns);
+      WindowState& window = shard.windows[window_key(r, batch, key, start)];
       if (window.rule == nullptr) {
         window.rule = &rule;
-        window.measurement = point.measurement;
-        window.tags = point.tags;
+        window.measurement = std::string(batch.text(key.measurement));
+        for (const tsdb::PointBatch::Tag& tag : batch.tags(key)) {
+          window.tags.emplace_hint(window.tags.end(), batch.text(tag.key),
+                                   batch.text(tag.value));
+        }
         window.window_start = start;
       }
-      add_fields(window.fields, point);
+      add_fields(window.fields, batch, batch.fields(row));
     }
   }
 }
@@ -689,7 +682,7 @@ Status IngestEngine::register_continuous_query(ContinuousQuery cq) {
 Status IngestEngine::close_windows(TimeNs watermark) {
   if (Status s = flush(); !s.is_ok()) return s;
   for (auto& shard : shards_) {
-    Batch emitted;
+    std::vector<tsdb::Point> emitted;
     {
       std::lock_guard<std::mutex> lock(shard->agg_mutex);
       for (auto it = shard->windows.begin(); it != shard->windows.end();) {
@@ -740,14 +733,10 @@ std::map<std::string, FieldAggregate> IngestEngine::series_aggregates(
 // ------------------------------------------------------------ introspection
 
 int IngestEngine::shard_of(const tsdb::Point& point) const {
-  std::uint64_t hash = fnv1a(14695981039346656037ULL, point.measurement);
-  hash = fnv1a(hash, "\x1f");
-  for (const auto& [k, v] : point.tags) {
-    hash = fnv1a(hash, k);
-    hash = fnv1a(hash, "=");
-    hash = fnv1a(hash, v);
-    hash = fnv1a(hash, ",");
-  }
+  // The series-key hash a PointBatch computes while parsing, so split()
+  // routes exactly like this.
+  const std::uint64_t hash = tsdb::PointBatch::hash_key(
+      tsdb::PointBatch::key_of(point.measurement, point.tags));
   return static_cast<int>(hash % shards_.size());
 }
 
@@ -798,9 +787,7 @@ Status IngestEngine::publish_self_telemetry(TimeNs now,
       static_cast<double>(s.downsampled_points);
   point.fields["wal_records"] = static_cast<double>(s.wal_records);
   point.fields["max_queue_depth"] = static_cast<double>(s.max_queue_depth);
-  Batch batch;
-  batch.push_back(std::move(point));
-  return try_submit(std::move(batch));
+  return try_submit({std::move(point)});
 }
 
 }  // namespace pmove::ingest

@@ -4,17 +4,23 @@
 // and replaces the paper's lossy "no buffer or queue mechanism" shipping
 // path (Section V-A, Table III) with a real ingestion tier:
 //
-//   * sharding     — points are routed by hash(measurement, tags) onto N
+//   * sharding     — rows are routed by their series-key hash onto N
 //                    shards, each with its own bounded MPSC queue and worker
 //                    thread, so concurrent writers never contend on one
 //                    mutex;
-//   * batching     — writers submit whole batches that are decoded once and
-//                    bulk-inserted per shard (TimeSeriesDb::write_batch);
+//   * batching     — writers submit whole batches that are decoded once into
+//                    a flat tsdb::PointBatch (line protocol parses straight
+//                    into it; Point vectors convert at the door), split per
+//                    shard and appended by the workers through
+//                    TimeSeriesDb::write_batch(const PointBatch&).  Queues,
+//                    spill and park lists hold PointBatches, so nothing that
+//                    crosses a thread allocates per point;
 //   * backpressure — a full queue triggers one of {drop, block, spill}
 //                    instead of unconditional loss;
 //   * durability   — every acknowledged batch is appended to a CRC-checked
-//                    write-ahead log before it is queued; recovery-on-open
-//                    replays the log into storage;
+//                    write-ahead log before it is queued (submit_lines logs
+//                    the caller's text verbatim); the first open() replays
+//                    the log into storage, a reopen after close() does not;
 //   * continuous queries — registered downsampling rules run incrementally
 //                    on ingest and emit aggregated points without rescanning
 //                    raw data, feeding superdb's AGGObservationInterface.
@@ -165,8 +171,11 @@ class IngestEngine final : public tsdb::PointSink {
   IngestEngine(const IngestEngine&) = delete;
   IngestEngine& operator=(const IngestEngine&) = delete;
 
-  /// Opens the WAL (replaying any surviving records into storage) and
-  /// starts the shard workers.
+  /// Opens the WAL and starts the shard workers.  The first open() loads
+  /// the checkpoint (owned DB only) and replays surviving WAL records into
+  /// storage; an open() after close() resumes instead, delivering only the
+  /// batches close() abandoned, so every acknowledged point is stored
+  /// exactly once.
   Status open();
 
   /// Flushes, stops workers, closes the WAL.  Idempotent.
@@ -188,8 +197,8 @@ class IngestEngine final : public tsdb::PointSink {
   Status submit_with_timeout(std::vector<tsdb::Point> batch,
                              TimeNs timeout_ns);
 
-  /// Line-protocol entry point: decodes once, then submits under the
-  /// configured policy.  The WAL logs `text` as sent.
+  /// Line-protocol entry point: parses once into a PointBatch, then
+  /// submits under the configured policy.  The WAL logs `text` as sent.
   Status submit_lines(std::string_view text);
 
   // PointSink: lets samplers target the engine transparently (single
@@ -235,7 +244,8 @@ class IngestEngine final : public tsdb::PointSink {
 
   // -------------------------------------------------------- introspection
 
-  /// Deterministic shard routing (FNV-1a over measurement and tags).
+  /// Deterministic shard routing: the series-key hash (see
+  /// tsdb::PointBatch::hash_key) modulo the shard count.
   [[nodiscard]] int shard_of(const tsdb::Point& point) const;
   [[nodiscard]] int shard_count() const {
     return static_cast<int>(shards_.size());
@@ -252,8 +262,8 @@ class IngestEngine final : public tsdb::PointSink {
 
   // --------------------------------------------------------- resilience
 
-  /// Supervisor hook: clears breakers (and reopens everything when the
-  /// engine was closed) after the operator / supervisor fixed the fault.
+  /// Supervisor hook: clears breakers (and reopens a closed engine, see
+  /// open()) after the operator / supervisor fixed the fault.
   Status reopen();
 
   /// Breaker in front of shard `i`'s storage sink (introspection/tests).
@@ -269,7 +279,7 @@ class IngestEngine final : public tsdb::PointSink {
   }
 
  private:
-  using Batch = std::vector<tsdb::Point>;
+  using Batch = tsdb::PointBatch;
 
   struct WindowState {
     const ContinuousQuery* rule = nullptr;
@@ -293,6 +303,9 @@ class IngestEngine final : public tsdb::PointSink {
     // once the breaker lets traffic through again.
     std::unique_ptr<CircuitBreaker> breaker;
     std::deque<Batch> parked;
+    // Parked batches close() gave up on: WAL-durable but not in storage.
+    // A later open() of this engine parks them again.
+    std::deque<Batch> abandoned;
     std::uint64_t seed = 0;          ///< retry-jitter stream
     std::atomic<bool> healthy{true};  ///< last reported sink health
     // Adaptive retry budget: EWMA of successful delivery latencies,
@@ -316,9 +329,14 @@ class IngestEngine final : public tsdb::PointSink {
 
   enum class SubmitMode { kPolicy, kNever, kTimeout };
 
+  Status submit_points(const std::vector<tsdb::Point>& points,
+                       SubmitMode mode, TimeNs timeout_ns);
+  /// One batch per shard (index = shard), by series-key hash.
+  std::vector<Batch> route(Batch batch) const;
+
   /// `lines` is the batch's line-protocol text when the caller sent text
   /// (submit_lines); it becomes the WAL record verbatim.  Without it the
-  /// batch is rendered for the log.
+  /// batch is rendered for the log (PointBatch::to_text).
   Status submit_internal(Batch batch, std::optional<std::string_view> lines,
                          SubmitMode mode, TimeNs timeout_ns);
   Status wal_append_batch(const Batch& batch,
@@ -360,6 +378,7 @@ class IngestEngine final : public tsdb::PointSink {
   std::atomic<bool> wal_healthy_{true};
   std::atomic<bool> draining_{false};  ///< close() in progress
   bool running_ = false;
+  bool recovered_ = false;  ///< the first open() restored storage
 
   // Batches accepted but not yet applied; flush() waits for zero.
   std::mutex pending_mutex_;

@@ -103,6 +103,12 @@ class BoundedQueue {
     not_full_.notify_all();
   }
 
+  /// Accepts pushes again after close() (an engine reopened in place).
+  void reopen() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    closed_ = false;
+  }
+
  private:
   void push_locked(T item) {
     ring_[(head_ + size_) % ring_.size()] = std::move(item);

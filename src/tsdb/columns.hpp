@@ -114,12 +114,9 @@ struct Series {
   Run base;                 ///< sorted; where sealed runs are folded into
   std::vector<Run> sealed;  ///< sorted runs awaiting compaction
   Run active;               ///< arrival-order append target
-  /// Cached line-protocol size of "measurement,tags... " — the per-point
-  /// invariant part of wire-byte accounting, computed once at creation.
-  std::size_t wire_prefix = 0;
-  /// write_batch generation stamp: equality with the batch's id means the
-  /// series is already in this batch's touched list (O(1) dedup).
-  std::uint64_t touch_batch = 0;
+  /// The owning measurement's name (the DB's map key, stable while the
+  /// series lives); the series index checks hash hits against it.
+  const std::string* measurement = nullptr;
 
   [[nodiscard]] std::size_t row_count() const {
     std::size_t n = base.row_count() + active.row_count();

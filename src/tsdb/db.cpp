@@ -106,38 +106,13 @@ void drop_trimmed(Run& run) {
   run.head = 0;
 }
 
-// Line-protocol byte cost of one point given its series' cached prefix
-// width — the same arithmetic as Point::wire_size() with the invariant
-// measurement+tags part precomputed.
-std::size_t wire_cost(const Series& series, const Point& point) {
-  std::size_t n = series.wire_prefix;
-  bool first = true;
-  for (const auto& [k, v] : point.fields) {
-    if (!first) ++n;  // ','
-    first = false;
-    n += lp::escaped_size(k) + 1 + lp::value_width(v);
+// Column payload of an unpacked run: timestamps, seqs, values, presence.
+std::size_t raw_run_bytes(const Run& run) {
+  std::size_t n = run.times.size() * (sizeof(TimeNs) + sizeof(std::uint64_t));
+  for (const FieldColumn& col : run.fields) {
+    n += col.values.size() * sizeof(double) + col.present.size();
   }
-  return n + 1 + lp::decimal_width(point.time);
-}
-
-// FNV-1a over the series key (measurement + tag strings) for the per-batch
-// series memo.
-std::uint64_t series_key_hash(const Point& point) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= 0xff;
-    h *= 1099511628211ull;
-  };
-  mix(point.measurement);
-  for (const auto& [k, v] : point.tags) {
-    mix(k);
-    mix(v);
-  }
-  return h;
+  return n;
 }
 
 }  // namespace
@@ -166,29 +141,53 @@ void TimeSeriesDb::bump_epoch_locked(const std::string& measurement) {
   epochs_[measurement] = ++epoch_counter_;
 }
 
-void TimeSeriesDb::append_row_locked(Series& series, const Point& point) {
+void TimeSeriesDb::append_row_locked(Series& series, const PointBatch& batch,
+                                     const PointBatch::Row& row) {
+  constexpr std::size_t kRowBytes = sizeof(TimeNs) + sizeof(std::uint64_t);
   Run& run = series.active;
-  if (run.sorted && !run.times.empty() && point.time < run.times.back()) {
+  if (run.sorted && !run.times.empty() && row.time < run.times.back()) {
     run.sorted = false;
   }
-  run.times.push_back(point.time);
+  run.times.push_back(row.time);
   run.seqs.push_back(seq_counter_++);
-  const std::size_t rows = run.times.size();
-  // Merge the point's (sorted) field map into the (sorted) column vector:
+  ++live_points_;
+  const std::span<const PointBatch::Field> fields = batch.fields(row);
+  // Fast path: the row carries exactly the run's columns (a series almost
+  // always has a fixed schema), so every column takes one value.
+  bool same = fields.size() == run.fields.size();
+  for (std::size_t i = 0; same && i < fields.size(); ++i) {
+    same = run.fields[i].name == batch.text(fields[i].name);
+  }
+  if (same) {
+    std::size_t bytes = kRowBytes + fields.size() * sizeof(double);
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      FieldColumn& col = run.fields[i];
+      col.values.push_back(fields[i].value);
+      if (!col.present.empty()) {
+        col.present.push_back(1);
+        ++bytes;
+      }
+    }
+    totals_.column_bytes += bytes;
+    return;
+  }
+  // Merge the row's (sorted) fields into the (sorted) column vector:
   // matched columns take the value, unmatched columns take an absent NaN,
   // unseen fields open a new column backfilled with absent rows.
+  const std::size_t bytes_before = raw_run_bytes(run);
+  const std::size_t rows = run.times.size();
   std::size_t ci = 0;
-  auto fit = point.fields.begin();
-  while (ci < run.fields.size() || fit != point.fields.end()) {
+  auto fit = fields.begin();
+  while (ci < run.fields.size() || fit != fields.end()) {
     int cmp;
     if (ci == run.fields.size()) {
       cmp = 1;
-    } else if (fit == point.fields.end()) {
+    } else if (fit == fields.end()) {
       cmp = -1;
     } else {
-      cmp = run.fields[ci].name.compare(fit->first);
+      cmp = run.fields[ci].name.compare(batch.text(fit->name));
     }
-    if (cmp < 0) {  // column the point does not carry
+    if (cmp < 0) {  // column the row does not carry
       FieldColumn& col = run.fields[ci];
       if (col.present.empty()) col.present.assign(rows - 1, 1);
       col.present.push_back(0);
@@ -196,9 +195,9 @@ void TimeSeriesDb::append_row_locked(Series& series, const Point& point) {
       ++ci;
     } else if (cmp > 0) {  // field this run has not seen
       FieldColumn col;
-      col.name = fit->first;
+      col.name = std::string(batch.text(fit->name));
       col.values.assign(rows - 1, std::nan(""));
-      col.values.push_back(fit->second);
+      col.values.push_back(fit->value);
       if (rows > 1) {
         col.present.assign(rows - 1, 0);
         col.present.push_back(1);
@@ -210,13 +209,14 @@ void TimeSeriesDb::append_row_locked(Series& series, const Point& point) {
       ++fit;
     } else {
       FieldColumn& col = run.fields[ci];
-      col.values.push_back(fit->second);
+      col.values.push_back(fit->value);
       if (!col.present.empty()) col.present.push_back(1);
       ++ci;
       ++fit;
     }
   }
-  ++live_points_;
+  // bytes_before already held the new row's time and seq.
+  totals_.column_bytes += kRowBytes + raw_run_bytes(run) - bytes_before;
 }
 
 void TimeSeriesDb::seal_active_locked(Series& series) {
@@ -409,24 +409,87 @@ void TimeSeriesDb::fold_series_locked(Series& series, bool include_active) {
   try_pack_locked(series.base);
 }
 
-Series* TimeSeriesDb::resolve_series_locked(
-    MeasurementStore& store, const std::string& measurement,
-    const std::map<std::string, std::string>& tags) {
-  const TagDictionary::TagSetId ts = dict_.intern_set(tags);
-  if (auto it = store.by_tagset.find(ts); it != store.by_tagset.end()) {
-    return store.series[it->second].get();
+bool TimeSeriesDb::same_series(const Series& series, const PointBatch& batch,
+                               const PointBatch::Series& key) const {
+  if (*series.measurement != batch.text(key.measurement)) return false;
+  const TagDictionary::TagSet& set = dict_.set(series.tagset_id);
+  const std::span<const PointBatch::Tag> tags = batch.tags(key);
+  if (set.size() != tags.size()) return false;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    if (dict_.string(set[i].first) != batch.text(tags[i].key) ||
+        dict_.string(set[i].second) != batch.text(tags[i].value)) {
+      return false;
+    }
   }
+  return true;
+}
+
+void TimeSeriesDb::index_insert_locked(std::uint64_t hash, Series* series) {
+  if (4 * (index_used_ + 1) > 3 * index_.size()) {
+    std::vector<IndexSlot> old = std::move(index_);
+    index_.assign(old.empty() ? 64 : 2 * old.size(), IndexSlot{});
+    index_used_ = 0;
+    for (const IndexSlot& slot : old) {
+      if (slot.series != nullptr) index_insert_locked(slot.hash, slot.series);
+    }
+  }
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  while (index_[i].series != nullptr) i = (i + 1) & mask;
+  index_[i] = {hash, series};
+  ++index_used_;
+}
+
+void TimeSeriesDb::index_erase_locked(std::uint64_t hash,
+                                      const Series* series) {
+  if (index_.empty()) return;
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  while (index_[i].series != series) {
+    if (index_[i].series == nullptr) return;
+    i = (i + 1) & mask;
+  }
+  // Backward-shift deletion: pull later members of the probe chain into
+  // the hole unless that would move one before its home slot.
+  for (std::size_t j = (i + 1) & mask; index_[j].series != nullptr;
+       j = (j + 1) & mask) {
+    const std::size_t home = index_[j].hash & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      index_[i] = index_[j];
+      i = j;
+    }
+  }
+  index_[i] = IndexSlot{};
+  --index_used_;
+}
+
+Series* TimeSeriesDb::resolve_series_locked(MeasurementStore& store,
+                                            const std::string& measurement,
+                                            const PointBatch& batch,
+                                            const PointBatch::Series& key) {
+  if (!index_.empty()) {
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t i = key.hash & mask; index_[i].series != nullptr;
+         i = (i + 1) & mask) {
+      if (index_[i].hash == key.hash &&
+          same_series(*index_[i].series, batch, key)) {
+        return index_[i].series;
+      }
+    }
+  }
+  TagDictionary::TagSet set;
+  set.reserve(key.tag_count);
+  for (const PointBatch::Tag& tag : batch.tags(key)) {
+    set.emplace_back(dict_.intern(batch.text(tag.key)),
+                     dict_.intern(batch.text(tag.value)));
+  }
+  const TagDictionary::TagSetId ts = dict_.intern_set(std::move(set));
   const auto idx = static_cast<std::uint32_t>(store.series.size());
   auto series = std::make_unique<Series>();
   series->tagset_id = ts;
-  std::size_t prefix = lp::escaped_size(measurement);
-  for (const auto& [k, v] : tags) {
-    prefix += 2 + lp::escaped_size(k) + lp::escaped_size(v);  // ',' k '=' v
-  }
-  series->wire_prefix = prefix + 1;  // trailing space before fields
+  series->measurement = &measurement;
   Series* raw = series.get();
   store.series.push_back(std::move(series));
-  store.by_tagset.emplace(ts, idx);
   auto pos = std::lower_bound(
       store.sorted.begin(), store.sorted.end(), idx,
       [this, &store](std::uint32_t a, std::uint32_t b) {
@@ -445,6 +508,9 @@ Series* TimeSeriesDb::resolve_series_locked(
   for (std::size_t i = at; i < store.sorted.size(); ++i) {
     store.rank[store.sorted[i]] = static_cast<std::uint32_t>(i);
   }
+  index_insert_locked(key.hash, raw);
+  ++series_count_;
+  postings_count_ += dict_.set(ts).size();
   return raw;
 }
 
@@ -463,63 +529,39 @@ void TimeSeriesDb::rebuild_index_locked(MeasurementStore& store,
 }
 
 Status TimeSeriesDb::write_batch(std::vector<Point> points) {
-  for (const Point& point : points) {
-    if (point.measurement.empty()) {
-      return Status::invalid_argument("point missing measurement");
-    }
-    if (point.fields.empty()) {
-      return Status::invalid_argument("point has no fields");
-    }
-  }
+  auto batch = PointBatch::from_points(points);
+  if (!batch) return batch.status();
+  return write_batch(batch.value());
+}
+
+Status TimeSeriesDb::write_batch(const PointBatch& batch) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  ++batch_counter_;
-  // Per-batch series memo: a direct-mapped hash table keyed by the point's
-  // (measurement, tags) that skips the dictionary interning walk for
-  // repeated tag sets — batches overwhelmingly cycle through a bounded set
-  // of series.  Misses (and collisions) fall back to the full resolve.
-  struct MemoSlot {
-    std::uint64_t hash = 0;
-    const Point* key = nullptr;
-    Series* series = nullptr;
-  };
-  constexpr std::size_t kMemoSlots = 1024;  // power of two
-  std::array<MemoSlot, kMemoSlots> memo{};
-  const std::string* cur_measurement = nullptr;
-  MeasurementStore* cur_store = nullptr;
-  std::vector<Series*> touched;
-  for (const Point& point : points) {
-    if (cur_measurement == nullptr || *cur_measurement != point.measurement) {
-      auto it = series_.find(point.measurement);
+  const std::span<const PointBatch::Series> keys = batch.series();
+  resolved_.resize(keys.size());
+  const std::string* measurement = nullptr;
+  MeasurementStore* store = nullptr;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::string_view name = batch.text(keys[i].measurement);
+    if (measurement == nullptr || *measurement != name) {
+      auto it = series_.find(name);
       if (it == series_.end()) {
-        it = series_.emplace(point.measurement, MeasurementStore{}).first;
+        it = series_.emplace(std::string(name), MeasurementStore{}).first;
       }
       bump_epoch_locked(it->first);
-      cur_measurement = &it->first;
-      cur_store = &it->second;
+      measurement = &it->first;
+      store = &it->second;
     }
-    const std::uint64_t hash = series_key_hash(point);
-    MemoSlot& slot = memo[hash & (kMemoSlots - 1)];
-    Series* series;
-    if (slot.series != nullptr && slot.hash == hash &&
-        slot.key->measurement == point.measurement &&
-        slot.key->tags == point.tags) {
-      series = slot.series;
-    } else {
-      series = resolve_series_locked(*cur_store, *cur_measurement, point.tags);
-      slot = {hash, &point, series};
-    }
-    // O(1) touched dedup: a generation stamp instead of scanning the
-    // touched list per point (which was quadratic in distinct series).
-    if (series->touch_batch != batch_counter_) {
-      series->touch_batch = batch_counter_;
-      touched.push_back(series);
-    }
-    bytes_written_ += wire_cost(*series, point);
-    append_row_locked(*series, point);
+    resolved_[i] = resolve_series_locked(*store, *measurement, batch, keys[i]);
   }
-  for (Series* series : touched) {
+  for (const PointBatch::Row& row : batch.rows()) {
+    append_row_locked(*resolved_[row.series], batch, row);
+  }
+  // The batch's series are distinct, so each is checked once.
+  for (Series* series : resolved_) {
     if (series->active.row_count() >= run_config_.seal_rows) {
+      const Footprint before = footprint(*series);
       seal_active_locked(*series);
+      account_locked(before, footprint(*series));
     }
   }
   refresh_gauges_locked();
@@ -535,6 +577,7 @@ std::size_t TimeSeriesDb::enforce_retention(TimeNs now) {
     std::size_t trimmed = 0;
     for (auto& entry : store.series) {
       Series& s = *entry;
+      const Footprint before = footprint(s);
       const auto trim_run = [&](Run& run) {
         if (run.empty()) return;
         if (run.is_packed()) {
@@ -571,6 +614,7 @@ std::size_t TimeSeriesDb::enforce_retention(TimeNs now) {
       s.sealed.erase(std::remove_if(s.sealed.begin(), s.sealed.end(),
                                     [](const Run& r) { return r.empty(); }),
                      s.sealed.end());
+      account_locked(before, footprint(s));
     }
     if (trimmed != 0) {
       dropped += trimmed;
@@ -589,6 +633,7 @@ std::size_t TimeSeriesDb::compact() {
   for (auto& [name, store] : series_) {
     for (auto& entry : store.series) {
       Series& s = *entry;
+      const Footprint before = footprint(s);
       const std::size_t loose =
           s.sealed.size() + (s.active.empty() ? 0 : 1);
       if (loose == 0) {
@@ -596,10 +641,11 @@ std::size_t TimeSeriesDb::compact() {
         // uncompressed (e.g. packing was just enabled): compress it now so
         // an explicit compact() always converges to the packed layout.
         packed_any = try_pack_locked(s.base) || packed_any;
-        continue;
+      } else {
+        fold_series_locked(s, /*include_active=*/true);
+        folded += loose;
       }
-      fold_series_locked(s, /*include_active=*/true);
-      folded += loose;
+      account_locked(before, footprint(s));
     }
   }
   if (folded != 0 || packed_any) refresh_gauges_locked();
@@ -626,11 +672,6 @@ std::size_t TimeSeriesDb::point_count(std::string_view measurement) const {
   std::size_t total = 0;
   for (const auto& entry : it->second.series) total += entry->row_count();
   return total;
-}
-
-std::size_t TimeSeriesDb::bytes_written() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return bytes_written_;
 }
 
 bool TimeSeriesDb::has_measurement(std::string_view name) const {
@@ -873,34 +914,36 @@ Status TimeSeriesDb::dump_to_file(const std::string& path) const {
 }
 
 Status TimeSeriesDb::load_from_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Status::not_found("cannot open " + path);
+  // Parse 4096-line chunks into batches so the columnar insert amortizes
+  // locking and ordering; lines before a malformed one still land.
+  constexpr std::size_t kChunkLines = 4096;
+  std::string chunk;
   std::string line;
-  std::size_t line_no = 0;
-  // Parse into batches so the columnar insert amortizes locking and
-  // ordering; lines before a malformed one still land (same partial-apply
-  // behavior as the old per-line path).
-  constexpr std::size_t kBatch = 4096;
-  std::vector<Point> batch;
-  batch.reserve(kBatch);
-  auto flush = [&]() -> Status {
-    if (batch.empty()) return Status::ok();
-    std::vector<Point> out;
-    out.reserve(kBatch);
-    std::swap(out, batch);
-    return write_batch(std::move(out));
+  std::size_t chunk_first = 1;  // file line number of the chunk's first line
+  std::size_t lines = 0;
+  const auto flush = [&]() -> Status {
+    PointBatch batch;
+    std::size_t bad = 0;
+    const Status parsed = batch.append_lines(chunk, &bad);
+    if (!batch.empty()) {
+      if (Status s = write_batch(batch); !s.is_ok()) return s;
+    }
+    if (!parsed.is_ok()) {
+      return Status::parse_error(path + ":" +
+                                 std::to_string(chunk_first + bad - 1) +
+                                 ": " + parsed.message());
+    }
+    chunk_first += lines;
+    lines = 0;
+    chunk.clear();
+    return Status::ok();
   };
   while (std::getline(in, line)) {
-    ++line_no;
-    if (strings::trim(line).empty()) continue;
-    auto point = Point::from_line(line);
-    if (!point.has_value()) {
-      (void)flush();
-      return Status::parse_error(path + ":" + std::to_string(line_no) + ": " +
-                                 point.status().message());
-    }
-    batch.push_back(std::move(point.value()));
-    if (batch.size() >= kBatch) {
+    chunk += line;
+    chunk += '\n';
+    if (++lines == kChunkLines) {
       if (Status s = flush(); !s.is_ok()) return s;
     }
   }
@@ -916,7 +959,11 @@ void TimeSeriesDb::clear() {
   // monotonic counter is free and immune to ABA-style ordering surprises.
   epochs_.clear();
   dict_.clear();
-  bytes_written_ = 0;
+  index_.clear();
+  index_used_ = 0;
+  totals_ = Footprint{};
+  series_count_ = 0;
+  postings_count_ = 0;
   live_points_ = 0;
   refresh_gauges_locked();
 }
@@ -927,6 +974,7 @@ std::size_t TimeSeriesDb::drop_measurement(std::string_view name) {
   if (it == series_.end()) return 0;
   std::size_t dropped = 0;
   for (const auto& entry : it->second.series) dropped += entry->row_count();
+  forget_store_locked(it->first, it->second);
   if (auto epoch = epochs_.find(it->first); epoch != epochs_.end()) {
     epochs_.erase(epoch);
   }
@@ -963,14 +1011,19 @@ std::size_t TimeSeriesDb::drop_series(
     }
   }
   if (victim == store.series.size()) return 0;
-  const std::size_t dropped = store.series[victim]->row_count();
+  const Series& gone = *store.series[victim];
+  const std::size_t dropped = gone.row_count();
+  index_erase_locked(PointBatch::hash_key(PointBatch::key_of(it->first, tags)),
+                     &gone);
+  account_locked(footprint(gone), Footprint{});
+  --series_count_;
+  postings_count_ -= dict_.set(gone.tagset_id).size();
   store.series.erase(store.series.begin() +
                      static_cast<std::ptrdiff_t>(victim));
-  // Indices past the victim shifted down; rebuild both index structures.
-  store.by_tagset.clear();
+  // Indices past the victim shifted down; rebuild the scan order and the
+  // tag index.
   store.sorted.clear();
   for (std::uint32_t i = 0; i < store.series.size(); ++i) {
-    store.by_tagset.emplace(store.series[i]->tagset_id, i);
     store.sorted.push_back(i);
   }
   std::sort(store.sorted.begin(), store.sorted.end(),
@@ -986,33 +1039,32 @@ std::size_t TimeSeriesDb::drop_series(
 }
 
 TsdbStats TimeSeriesDb::stats() const {
+  // A full recount, independent of the running totals the gauges use.
   std::shared_lock<std::shared_mutex> lock(mutex_);
   TsdbStats st;
   st.measurements = series_.size();
   for (const auto& [name, store] : series_) {
     st.series += store.series.size();
     for (const auto& entry : store.series) {
-      st.sealed_runs += entry->sealed.size();
+      const Footprint f = footprint(*entry);
+      st.sealed_runs += f.sealed_runs;
+      st.column_bytes += f.column_bytes;
+      st.compressed_runs += f.compressed_runs;
+      st.bytes_raw += f.bytes_raw;
+      st.bytes_packed += f.bytes_packed;
       st.active_rows += entry->active.row_count();
+    }
+    for (const auto& [pair, list] : store.postings) {
+      st.index_postings += list.size();
     }
   }
   st.points = live_points_;
   st.dict_strings = dict_.string_count();
   st.dict_tagsets = dict_.set_count();
-  st.dict_bytes = dict_.memory_bytes();
-  st.column_bytes = stats_column_bytes_locked();
+  st.dict_bytes = dict_bytes_locked();
   st.run_seals = run_seals_;
   st.run_folds = run_folds_;
-  const PackedTotals packed = stats_packed_locked();
-  st.compressed_runs = packed.runs;
-  st.bytes_raw = packed.raw;
-  st.bytes_packed = packed.packed;
   st.pack_time_ns = pack_time_ns_;
-  for (const auto& [name, store] : series_) {
-    for (const auto& [pair, list] : store.postings) {
-      st.index_postings += list.size();
-    }
-  }
   st.index_probes = index_probes_.load(std::memory_order_relaxed);
   st.index_scans = index_scans_.load(std::memory_order_relaxed);
   st.index_fallbacks = index_fallbacks_.load(std::memory_order_relaxed);
@@ -1072,43 +1124,47 @@ bool TimeSeriesDb::try_pack_locked(Run& run) {
   return packed;
 }
 
-std::size_t TimeSeriesDb::stats_column_bytes_locked() const {
-  std::size_t bytes = 0;
-  const auto run_bytes = [](const Run& run) {
-    if (run.is_packed()) return run.packed->byte_size();
-    std::size_t n =
-        run.times.size() * (sizeof(TimeNs) + sizeof(std::uint64_t));
-    for (const FieldColumn& col : run.fields) {
-      n += col.values.size() * sizeof(double) + col.present.size();
+TimeSeriesDb::Footprint TimeSeriesDb::footprint(const Series& series) {
+  Footprint f;
+  f.sealed_runs = series.sealed.size();
+  const auto visit = [&f](const Run& run) {
+    if (run.is_packed()) {
+      const std::size_t bytes = run.packed->byte_size();
+      f.column_bytes += bytes;
+      ++f.compressed_runs;
+      f.bytes_raw += run.packed->raw_bytes;
+      f.bytes_packed += bytes;
+      return;
     }
-    return n;
+    f.column_bytes += raw_run_bytes(run);
   };
-  for (const auto& [name, store] : series_) {
-    for (const auto& entry : store.series) {
-      const Series& s = *entry;
-      bytes += run_bytes(s.base) + run_bytes(s.active);
-      for (const Run& run : s.sealed) bytes += run_bytes(run);
-    }
-  }
-  return bytes;
+  visit(series.base);
+  visit(series.active);
+  for (const Run& run : series.sealed) visit(run);
+  return f;
 }
 
-TimeSeriesDb::PackedTotals TimeSeriesDb::stats_packed_locked() const {
-  PackedTotals totals;
-  const auto visit = [&totals](const Run& run) {
-    if (!run.is_packed()) return;
-    ++totals.runs;
-    totals.raw += run.packed->raw_bytes;
-    totals.packed += run.packed->byte_size();
-  };
-  for (const auto& [name, store] : series_) {
-    for (const auto& entry : store.series) {
-      const Series& s = *entry;
-      visit(s.base);
-      for (const Run& run : s.sealed) visit(run);
-    }
+void TimeSeriesDb::account_locked(const Footprint& before,
+                                  const Footprint& after) {
+  // Unsigned wrap-around cancels: each total ends at its true value.
+  totals_.column_bytes += after.column_bytes - before.column_bytes;
+  totals_.sealed_runs += after.sealed_runs - before.sealed_runs;
+  totals_.compressed_runs += after.compressed_runs - before.compressed_runs;
+  totals_.bytes_raw += after.bytes_raw - before.bytes_raw;
+  totals_.bytes_packed += after.bytes_packed - before.bytes_packed;
+}
+
+void TimeSeriesDb::forget_store_locked(const std::string& measurement,
+                                       const MeasurementStore& store) {
+  for (const auto& entry : store.series) {
+    const Series& series = *entry;
+    index_erase_locked(PointBatch::hash_key(PointBatch::key_of(
+                           measurement, dict_.decode(series.tagset_id))),
+                       &series);
+    account_locked(footprint(series), Footprint{});
+    postings_count_ -= dict_.set(series.tagset_id).size();
   }
-  return totals;
+  series_count_ -= store.series.size();
 }
 
 void TimeSeriesDb::set_telemetry_instance(const std::string& instance) {
@@ -1145,30 +1201,19 @@ void TimeSeriesDb::set_telemetry_instance(const std::string& instance) {
 
 void TimeSeriesDb::refresh_gauges_locked() {
   if (m_series_ == nullptr) return;
-  std::size_t series = 0;
-  std::size_t sealed_runs = 0;
-  for (const auto& [name, store] : series_) {
-    series += store.series.size();
-    for (const auto& entry : store.series) sealed_runs += entry->sealed.size();
-  }
-  m_series_->set(static_cast<double>(series));
+  m_series_->set(static_cast<double>(series_count_));
   m_points_->set(static_cast<double>(live_points_));
   m_dict_strings_->set(static_cast<double>(dict_.string_count()));
-  m_dict_bytes_->set(static_cast<double>(dict_.memory_bytes()));
-  m_column_bytes_->set(static_cast<double>(stats_column_bytes_locked()));
-  m_sealed_runs_->set(static_cast<double>(sealed_runs));
+  m_dict_bytes_->set(static_cast<double>(dict_bytes_locked()));
+  m_column_bytes_->set(static_cast<double>(totals_.column_bytes));
+  m_sealed_runs_->set(static_cast<double>(totals_.sealed_runs));
   m_run_seals_->set(static_cast<double>(run_seals_));
   m_run_folds_->set(static_cast<double>(run_folds_));
-  const PackedTotals packed = stats_packed_locked();
-  m_compressed_runs_->set(static_cast<double>(packed.runs));
-  m_bytes_raw_->set(static_cast<double>(packed.raw));
-  m_bytes_packed_->set(static_cast<double>(packed.packed));
+  m_compressed_runs_->set(static_cast<double>(totals_.compressed_runs));
+  m_bytes_raw_->set(static_cast<double>(totals_.bytes_raw));
+  m_bytes_packed_->set(static_cast<double>(totals_.bytes_packed));
   m_pack_time_ns_->set(static_cast<double>(pack_time_ns_));
-  std::size_t postings = 0;
-  for (const auto& [name, store] : series_) {
-    for (const auto& [pair, list] : store.postings) postings += list.size();
-  }
-  m_index_postings_->set(static_cast<double>(postings));
+  m_index_postings_->set(static_cast<double>(postings_count_));
   m_index_probes_->set(static_cast<double>(
       index_probes_.load(std::memory_order_relaxed)));
   m_index_scans_->set(static_cast<double>(

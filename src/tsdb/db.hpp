@@ -4,7 +4,17 @@
 // Stores points per (measurement, interned tag set) in columnar form: each
 // series is a small LSM tree of runs (tsdb/columns.hpp) — a sorted base, a
 // bounded list of sealed sorted runs, and an arrival-order active run — so
-// a batch write is a pure column append.  Ordering is restored lazily: the
+// a batch write is a pure column append.
+//
+// Write path: one append core over a flat PointBatch (tsdb/batch.hpp).
+// Each distinct series of the batch is resolved once, through a persistent
+// hash index from the batch's series-key hash to the series (a hit is
+// checked against the dictionary strings; only a miss interns anything).
+// Each row then appends its values to the series' active run: when the
+// row's field names equal the run's columns the values are pushed
+// directly, otherwise a name merge opens or backfills columns.  The
+// PointSink write_batch(std::vector<Point>) converts once and feeds the
+// same core.  Ordering is restored lazily: the
 // active run is sorted once when it is sealed at PMOVE_TSDB_RUN_ROWS rows,
 // and an amortized compactor folds sealed runs into the base (triggered at
 // seal time by run count / size ratio, or explicitly via compact()).  Tag
@@ -52,6 +62,7 @@
 #include <vector>
 
 #include "metrics/registry.hpp"
+#include "tsdb/batch.hpp"
 #include "tsdb/columns.hpp"
 #include "tsdb/dict.hpp"
 #include "tsdb/point.hpp"
@@ -90,7 +101,8 @@ struct TsdbStats {
   std::size_t points = 0;        ///< live rows (excludes trimmed-not-compacted)
   std::size_t dict_strings = 0;  ///< interned tag strings
   std::size_t dict_tagsets = 0;  ///< interned tag sets
-  std::size_t dict_bytes = 0;    ///< dictionary payload bytes
+  /// Dictionary payload bytes plus the series index's slot table.
+  std::size_t dict_bytes = 0;
   /// Resident column payload: timestamps, seqs, field values and presence
   /// maps, including trimmed rows awaiting compaction.  Excludes allocator
   /// slack and per-series fixed overhead.
@@ -141,11 +153,15 @@ class TimeSeriesDb : public PointSink {
         index_config_(IndexConfig::from_env()) {}
 
   /// Bulk insert: one lock acquisition per batch, pure column appends per
-  /// point (ordering is restored lazily at seal/compaction time).  The
-  /// batch is validated up front and rejected as a unit if any point is
-  /// invalid (no partial insert).  Bumps the write epoch of every touched
-  /// measurement.  (Single points and line protocol go through the
-  /// PointSink write()/write_line() helpers.)
+  /// row (ordering is restored lazily at seal/compaction time).  Every row
+  /// of a PointBatch is valid by construction.  Bumps the write epoch of
+  /// every touched measurement.
+  Status write_batch(const PointBatch& batch);
+
+  /// PointSink adapter: converts to a PointBatch (rejecting the whole
+  /// vector if any point is invalid — no partial insert) and appends it.
+  /// (Single points and line protocol go through the PointSink
+  /// write()/write_line() helpers.)
   Status write_batch(std::vector<Point> points) override;
 
   /// Drops points older than the retention window; returns #dropped.
@@ -160,14 +176,13 @@ class TimeSeriesDb : public PointSink {
   [[nodiscard]] std::size_t point_count() const;
   [[nodiscard]] std::size_t point_count(std::string_view measurement) const;
 
-  /// Total bytes written in line-protocol form (disk-usage accounting).
-  [[nodiscard]] std::size_t bytes_written() const;
-
   /// Recorded-data support (the paper monitors "live and/or recorded"
   /// performance data): dump every point as line protocol, one per line,
   /// and load such a file back (appending to current contents).  The dump
   /// renders a consistent snapshot under the shared lock, then performs
-  /// the file I/O outside it so a slow disk never stalls writers.
+  /// the file I/O outside it so a slow disk never stalls writers.  The
+  /// load parses 4096-line chunks into PointBatches; on a malformed line
+  /// the lines before it still land and the error names "path:line".
   Status dump_to_file(const std::string& path) const;
   Status load_from_file(const std::string& path);
 
@@ -245,14 +260,14 @@ class TimeSeriesDb : public PointSink {
 
   /// Enables pmove_tsdb self-telemetry: after every mutation the storage
   /// gauges (series/points/dict/column bytes, run counters) are refreshed
-  /// under the given instance tag.  Off by default — a DB that nobody
-  /// names stays silent; the daemon names its primary DB.
+  /// under the given instance tag from running totals, so a refresh costs
+  /// the same at any DB size.  Off by default — a DB that nobody names
+  /// stays silent; the daemon names its primary DB.
   void set_telemetry_instance(const std::string& instance);
 
  private:
   struct MeasurementStore {
     std::vector<std::unique_ptr<Series>> series;  ///< creation order
-    std::map<TagDictionary::TagSetId, std::uint32_t> by_tagset;
     /// Series indices ordered by decoded tag set (lexicographic key/value
     /// strings) — the deterministic scan order.
     std::vector<std::uint32_t> sorted;
@@ -273,9 +288,10 @@ class TimeSeriesDb : public PointSink {
   /// Bumps `measurement`'s epoch; caller holds the exclusive lock.
   void bump_epoch_locked(const std::string& measurement);
 
-  /// Appends one point's row to the series' active run, then seals/folds
-  /// if thresholds are crossed; caller holds the exclusive lock.
-  void append_row_locked(Series& series, const Point& point);
+  /// Appends one batch row to the series' active run; caller holds the
+  /// exclusive lock.
+  void append_row_locked(Series& series, const PointBatch& batch,
+                         const PointBatch::Row& row);
 
   /// Sorts the active run if needed and moves it onto the sealed list.
   void seal_active_locked(Series& series);
@@ -284,10 +300,27 @@ class TimeSeriesDb : public PointSink {
   /// one sorted base run.
   void fold_series_locked(Series& series, bool include_active);
 
-  /// Finds (or creates) the series of `tags` under `store`.
+  /// Finds (through the series index) or creates the series of batch
+  /// series `key` under `store`.
   Series* resolve_series_locked(MeasurementStore& store,
                                 const std::string& measurement,
-                                const std::map<std::string, std::string>& tags);
+                                const PointBatch& batch,
+                                const PointBatch::Series& key);
+
+  // Series index: open addressing over (key hash, series), linear probing,
+  // at most 3/4 full.  Its slot table counts in dict_bytes.
+  struct IndexSlot {
+    std::uint64_t hash = 0;
+    Series* series = nullptr;  ///< null = empty slot
+  };
+  [[nodiscard]] bool same_series(const Series& series,
+                                 const PointBatch& batch,
+                                 const PointBatch::Series& key) const;
+  void index_insert_locked(std::uint64_t hash, Series* series);
+  void index_erase_locked(std::uint64_t hash, const Series* series);
+  /// Removes every series of `store` from the index and the totals.
+  void forget_store_locked(const std::string& measurement,
+                           const MeasurementStore& store);
 
   /// Rebuilds `store.postings` and `store.rank` from scratch (after
   /// drop_series shifts creation indices).
@@ -305,14 +338,24 @@ class TimeSeriesDb : public PointSink {
   /// it, charging the elapsed time to pack_time_ns_.
   bool try_pack_locked(Run& run);
 
-  [[nodiscard]] std::size_t stats_column_bytes_locked() const;
-
-  struct PackedTotals {
-    std::size_t runs = 0;
-    std::size_t raw = 0;
-    std::size_t packed = 0;
+  /// The run-shaped storage gauges of one series.  The DB keeps their sum
+  /// over all series as running totals: appends add to it directly, and
+  /// every seal, fold, pack, trim or drop replaces the touched series'
+  /// share (see account_locked).
+  struct Footprint {
+    std::size_t column_bytes = 0;
+    std::size_t sealed_runs = 0;
+    std::size_t compressed_runs = 0;
+    std::size_t bytes_raw = 0;
+    std::size_t bytes_packed = 0;
   };
-  [[nodiscard]] PackedTotals stats_packed_locked() const;
+  static Footprint footprint(const Series& series);
+  /// totals_ += after - before.
+  void account_locked(const Footprint& before, const Footprint& after);
+
+  [[nodiscard]] std::size_t dict_bytes_locked() const {
+    return dict_.memory_bytes() + index_.size() * sizeof(IndexSlot);
+  }
 
   void refresh_gauges_locked();
 
@@ -322,8 +365,14 @@ class TimeSeriesDb : public PointSink {
   TagDictionary dict_;
   std::uint64_t epoch_counter_ = 0;  ///< never reset, so epochs never repeat
   std::uint64_t seq_counter_ = 0;    ///< per-DB arrival counter (row order)
-  std::uint64_t batch_counter_ = 0;  ///< write_batch touch-dedup generation
   std::size_t live_points_ = 0;
+  std::vector<IndexSlot> index_;
+  std::size_t index_used_ = 0;
+  std::vector<Series*> resolved_;  ///< write scratch: per batch series
+  // Running totals behind the gauges (stats() recounts from scratch).
+  Footprint totals_;
+  std::size_t series_count_ = 0;
+  std::size_t postings_count_ = 0;
   RetentionPolicy retention_;
   RunConfig run_config_;
   PackConfig pack_config_;
@@ -333,7 +382,6 @@ class TimeSeriesDb : public PointSink {
   mutable std::atomic<std::uint64_t> index_probes_{0};
   mutable std::atomic<std::uint64_t> index_scans_{0};
   mutable std::atomic<std::uint64_t> index_fallbacks_{0};
-  std::size_t bytes_written_ = 0;
   std::uint64_t run_seals_ = 0;
   std::uint64_t run_folds_ = 0;
   std::uint64_t pack_time_ns_ = 0;

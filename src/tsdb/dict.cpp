@@ -19,13 +19,7 @@ std::optional<TagDictionary::StringId> TagDictionary::find(
   return std::nullopt;
 }
 
-TagDictionary::TagSetId TagDictionary::intern_set(
-    const std::map<std::string, std::string>& tags) {
-  TagSet set;
-  set.reserve(tags.size());
-  for (const auto& [k, v] : tags) {
-    set.emplace_back(intern(k), intern(v));
-  }
+TagDictionary::TagSetId TagDictionary::intern_set(TagSet set) {
   if (auto it = set_ids_.find(set); it != set_ids_.end()) return it->second;
   const TagSetId id = static_cast<TagSetId>(sets_.size());
   memory_bytes_ += 2 * set.size() * sizeof(std::pair<StringId, StringId>);
@@ -48,7 +42,7 @@ void TagDictionary::clear() {
   sets_.clear();
   set_ids_.clear();
   memory_bytes_ = 0;
-  (void)intern_set({});
+  (void)intern_set(TagSet{});
 }
 
 }  // namespace pmove::tsdb

@@ -37,7 +37,7 @@ class TagDictionary {
   /// series shares it.
   static constexpr TagSetId kEmptyTagSet = 0;
 
-  TagDictionary() { (void)intern_set({}); }
+  TagDictionary() { (void)intern_set(TagSet{}); }
 
   /// Interns `s`, returning its id (existing id if already present).
   StringId intern(std::string_view s);
@@ -50,9 +50,9 @@ class TagDictionary {
     return strings_[id];
   }
 
-  /// Interns a whole tag set (the map iterates in key order, which the
-  /// stored TagSet preserves).
-  TagSetId intern_set(const std::map<std::string, std::string>& tags);
+  /// Interns a whole tag set of interned (key, value) ids, ordered by key
+  /// string.
+  TagSetId intern_set(TagSet set);
 
   [[nodiscard]] const TagSet& set(TagSetId id) const { return sets_[id]; }
 

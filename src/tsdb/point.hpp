@@ -24,11 +24,13 @@ struct Point {
   /// InfluxDB line protocol:
   ///   measurement,tag=v field1=1.5,field2=2 1690000000000000000
   [[nodiscard]] std::string to_line() const;
+  /// Parses one line (a '\n' inside is an ordinary byte) through a
+  /// one-row PointBatch, the project's one line-protocol grammar.
   static Expected<Point> from_line(std::string_view line);
 
   /// Serialized size in bytes — the unit of network/disk accounting in the
-  /// resource model (Fig 6).  Computed without building the line so the
-  /// write hot path does not allocate; always equals to_line().size().
+  /// resource model (Fig 6).  Computed without building the line; always
+  /// equals to_line().size().
   [[nodiscard]] std::size_t wire_size() const;
 };
 
@@ -40,18 +42,12 @@ namespace lp {
 /// Escapes commas, spaces, '=' and backslashes in an identifier.
 std::string escape(const std::string& s);
 
-/// Length of escape(s) without building it.
-std::size_t escaped_size(std::string_view s);
+/// Appends escape(s) to `out`.
+void append_escaped(std::string& out, std::string_view s);
 
 /// Renders a field value (integral values as integers, else the shortest
 /// round-trip decimal form) into `buf`; returns the length.
 int format_value(char (&buf)[48], double v);
-
-/// Length of format_value's rendering without writing it anywhere useful.
-std::size_t value_width(double v);
-
-/// Length of the base-10 rendering of a timestamp/integer.
-std::size_t decimal_width(long long value);
 
 }  // namespace lp
 

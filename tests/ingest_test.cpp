@@ -22,7 +22,9 @@
 #include "ingest/wal.hpp"
 #include "query/plan.hpp"
 #include "sampler/session.hpp"
+#include "support/reference_line_protocol.hpp"
 #include "topology/machine.hpp"
+#include "tsdb/batch.hpp"
 #include "tsdb/db.hpp"
 
 namespace pmove::ingest {
@@ -1101,6 +1103,262 @@ TEST(IngestEngineTest, SubmitLinesDecodesOnce) {
   EXPECT_EQ(engine.submit_lines("broken line here").code(),
             ErrorCode::kParseError);
   engine.close();
+}
+
+// --------------------------------------------------------------- reopen
+
+/// Disarms every fault point for one test, then restores the suite-wide
+/// PMOVE_FAULT arming (CI chaos mode) for the tests after it.
+struct FaultScope {
+  FaultScope() { fault::disarm_all(); }
+  ~FaultScope() {
+    fault::disarm_all();
+    const char* spec = std::getenv("PMOVE_FAULT");
+    if (spec != nullptr && *spec != '\0') (void)fault::arm_from_spec(spec);
+  }
+};
+
+TEST(IngestEngineTest, ReopenAfterCloseKeepsEveryPointOnce) {
+  FaultScope faults;
+  for (const bool borrowed : {false, true}) {
+    SCOPED_TRACE(borrowed ? "borrowed DB" : "owned DB");
+    TempDir dir("reopen");
+    IngestOptions options;
+    options.shard_count = 2;
+    options.wal_dir = dir.path;
+    tsdb::TimeSeriesDb external;
+    IngestEngine engine(options, borrowed ? &external : nullptr);
+    ASSERT_TRUE(engine.open().is_ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(engine
+                      .submit({make_point("m", i, static_cast<double>(i),
+                                          "t" + std::to_string(i % 3))})
+                      .is_ok());
+    }
+    ASSERT_TRUE(engine.flush().is_ok());
+    engine.close();
+    ASSERT_TRUE(engine.reopen().is_ok());
+    ASSERT_TRUE(engine.flush().is_ok());
+    EXPECT_EQ(engine.point_count(), 10u);
+    // A checkpoint (an owned DB reloads checkpoint.lp on its first open
+    // only) and a second close/open cycle keep the count exact too.
+    ASSERT_TRUE(engine.checkpoint().is_ok());
+    const Status late = engine.submit({make_point("m", 10, 10.0, "t1")});
+    ASSERT_TRUE(late.is_ok()) << late.to_string();
+    ASSERT_TRUE(engine.flush().is_ok());
+    engine.close();
+    ASSERT_TRUE(engine.open().is_ok());
+    ASSERT_TRUE(engine.flush().is_ok());
+    EXPECT_EQ(engine.point_count(), 11u);
+    EXPECT_EQ(engine.stats().inserted_points, 11u);
+    engine.close();
+  }
+}
+
+TEST(IngestEngineTest, ReopenDeliversBatchesAbandonedAtCloseExactlyOnce) {
+  FaultScope faults;
+  for (const bool borrowed : {false, true}) {
+    SCOPED_TRACE(borrowed ? "borrowed DB" : "owned DB");
+    TempDir dir("reopen_abandon");
+    IngestOptions options;
+    options.shard_count = 2;
+    options.wal_dir = dir.path;
+    options.sink_retry.max_attempts = 1;
+    options.sink_breaker.failure_threshold = 1;
+    options.sink_breaker.open_cooldown_ns = 3600 * kNsPerSec;  // stays open
+    tsdb::TimeSeriesDb external;
+    IngestEngine engine(options, borrowed ? &external : nullptr);
+    ASSERT_TRUE(engine.open().is_ok());
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(engine.submit({make_point("m", i, 1.0, "a")}).is_ok());
+    }
+    ASSERT_TRUE(engine.flush().is_ok());
+    // The sink goes down: the next batches park, and close() abandons
+    // them — WAL-durable, not in storage.
+    ASSERT_TRUE(fault::arm_from_spec("tsdb.write_batch=fail_after:0").is_ok());
+    for (int i = 4; i < 10; ++i) {
+      ASSERT_TRUE(engine
+                      .submit({make_point("m", i, 1.0, "a"),
+                               make_point("m", i, 2.0, "b")})
+                      .is_ok());
+    }
+    engine.close();
+    EXPECT_EQ(engine.stats().abandoned_points, 12u);
+    EXPECT_EQ(engine.point_count(), 4u);
+    // The fault is fixed; the supervisor restarts the engine.
+    fault::disarm("tsdb.write_batch");
+    ASSERT_TRUE(engine.reopen().is_ok());
+    ASSERT_TRUE(engine.flush().is_ok());
+    EXPECT_EQ(engine.point_count(), 16u);
+    auto per_tag = pmove::query::run(
+        engine.db(), "SELECT count(\"value\") FROM \"m\" WHERE tag=\"b\"");
+    ASSERT_TRUE(per_tag.has_value());
+    EXPECT_EQ(per_tag->rows[0][1], 6.0);
+    engine.close();
+    // And the log still recovers exactly the acknowledged points.
+    tsdb::TimeSeriesDb fresh;
+    IngestEngine recovered(options, borrowed ? &fresh : nullptr);
+    ASSERT_TRUE(recovered.open().is_ok());
+    EXPECT_EQ(recovered.point_count(), 16u);
+    recovered.close();
+  }
+}
+
+// ------------------------------------------------------ write-path parity
+
+/// Rows that name a few series in several spellings: permuted, escaped and
+/// duplicated tag keys, '=' in a measurement, fields missing or new in the
+/// middle of a run, out-of-order and duplicate timestamps.
+std::vector<std::string> parity_lines() {
+  static const char* const kHeads[] = {
+      "cpu,dc=x,host=a",        "cpu,host=a,dc=x",  "cpu,host=\\a,dc=x",
+      "cpu,host=z,dc=x,host=a", "cpu,dc=y,host=b",  "m=eq,host=a",
+      "m\\=eq,host=a",          "cpu\\ load,host=a"};
+  std::mt19937_64 rng(0x70617269747921ULL);
+  std::vector<std::string> lines;
+  TimeNs time = 1000;
+  for (int i = 0; i < 900; ++i) {
+    std::string line = kHeads[rng() % std::size(kHeads)];
+    // Fields f0..f3 (f4 only in the second half) in a random order, each
+    // present with probability 3/4, sometimes written twice.
+    std::vector<std::string> fields;
+    const int field_count = i < 450 ? 4 : 5;
+    for (int f = 0; f < field_count; ++f) {
+      if (rng() % 4 != 0) fields.push_back("f" + std::to_string(f));
+    }
+    if (fields.empty()) fields.push_back("f0");
+    std::shuffle(fields.begin(), fields.end(), rng);
+    if (rng() % 8 == 0) fields.push_back(fields.front());
+    char sep = ' ';
+    for (const std::string& f : fields) {
+      line += sep;
+      sep = ',';
+      char value[48];
+      const int n = tsdb::lp::format_value(
+          value, static_cast<double>(rng() % 100000) / 7.0 - 5000.0);
+      line += f + "=" + std::string(value, static_cast<std::size_t>(n));
+    }
+    if (rng() % 6 != 0) time += 10;  // else a duplicate timestamp
+    const TimeNs late = rng() % 5 == 0 ? static_cast<TimeNs>(rng() % 8) * 10
+                                       : 0;
+    line += " " + std::to_string(time - late);
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+bool same_bits(const tsdb::QueryResult& a, const tsdb::QueryResult& b) {
+  if (a.columns != b.columns || a.rows.size() != b.rows.size()) return false;
+  for (std::size_t r = 0; r < a.rows.size(); ++r) {
+    if (a.rows[r].size() != b.rows[r].size()) return false;
+    for (std::size_t c = 0; c < a.rows[r].size(); ++c) {
+      if (std::bit_cast<std::uint64_t>(a.rows[r][c]) !=
+          std::bit_cast<std::uint64_t>(b.rows[r][c])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(IngestEngineTest, EveryWritePathStoresTheSameRowsBitForBit) {
+  // The same rows through write_batch(PointBatch), write_batch(vector of
+  // reference-parsed Points), the engine's submit_lines and its submit.
+  const std::vector<std::string> lines = parity_lines();
+  constexpr int kPaths = 4;
+  std::vector<tsdb::TimeSeriesDb> dbs(kPaths);
+  for (tsdb::TimeSeriesDb& db : dbs) {
+    db.set_run_config({/*seal_rows=*/16, /*max_sealed=*/2,
+                       /*fold_ratio=*/0.5});
+  }
+  IngestOptions options;
+  options.shard_count = 1;  // one queue: rows reach the DB in submit order
+  IngestEngine by_text(options, &dbs[2]);
+  IngestEngine by_points(options, &dbs[3]);
+  ASSERT_TRUE(by_text.open().is_ok());
+  ASSERT_TRUE(by_points.open().is_ok());
+  std::mt19937_64 rng(99);
+  bool dropped = false;
+  for (std::size_t first = 0; first < lines.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(1 + rng() % 40, lines.size() - first);
+    std::string text;
+    std::vector<tsdb::Point> points;
+    for (std::size_t i = first; i < first + n; ++i) {
+      if (rng() % 5 == 0) text += " \r\n";
+      text += lines[i];
+      text += rng() % 2 == 0 ? "\n" : "\r\n";
+      auto p = pmove::testing::reference_from_line(lines[i]);
+      ASSERT_TRUE(p.has_value()) << lines[i];
+      points.push_back(std::move(p.value()));
+    }
+    first += n;
+    auto batch = tsdb::PointBatch::parse(text);
+    ASSERT_TRUE(batch.has_value()) << batch.status().to_string();
+    ASSERT_TRUE(dbs[0].write_batch(batch.value()).is_ok());
+    ASSERT_TRUE(dbs[1].write_batch(points).is_ok());
+    ASSERT_TRUE(by_text.submit_lines(text).is_ok());
+    ASSERT_TRUE(by_points.submit(points).is_ok());
+    if (!dropped && first >= lines.size() / 2) {
+      // Drop one series everywhere; the rest of the rows rewrite it.
+      ASSERT_TRUE(by_text.flush().is_ok());
+      ASSERT_TRUE(by_points.flush().is_ok());
+      for (tsdb::TimeSeriesDb& db : dbs) {
+        EXPECT_GT(db.drop_series("cpu", {{"dc", "x"}, {"host", "a"}}), 0u);
+      }
+      dropped = true;
+    }
+  }
+  ASSERT_TRUE(by_text.flush().is_ok());
+  ASSERT_TRUE(by_points.flush().is_ok());
+  by_text.close();
+  by_points.close();
+
+  TempDir dir("write_parity");
+  const auto dump = [&dir](const tsdb::TimeSeriesDb& db, int i) {
+    const std::string path = dir.path + "/" + std::to_string(i) + ".lp";
+    EXPECT_TRUE(db.dump_to_file(path).is_ok());
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string want = dump(dbs[0], 0);
+  EXPECT_EQ(std::count(want.begin(), want.end(), '\n'),
+            static_cast<std::ptrdiff_t>(dbs[0].point_count()));
+  for (int i = 1; i < kPaths; ++i) EXPECT_EQ(dump(dbs[i], i), want) << i;
+
+  using pmove::query::Aggregate;
+  using pmove::query::QueryBuilder;
+  std::size_t checked = 0;
+  for (const char* m : {"cpu", "m=eq", "cpu load"}) {
+    std::vector<pmove::query::Query> queries = {
+        QueryBuilder(m).select_all().build(),
+        QueryBuilder(m).select_all().where_tag("host", "a").build()};
+    for (Aggregate a :
+         {Aggregate::kMean, Aggregate::kMin, Aggregate::kMax, Aggregate::kSum,
+          Aggregate::kCount, Aggregate::kStddev, Aggregate::kFirst,
+          Aggregate::kLast}) {
+      for (const char* f : {"f0", "f3", "f4"}) {
+        queries.push_back(QueryBuilder(m).select(a, f).build());
+        queries.push_back(
+            QueryBuilder(m).select(a, f).group_by_time(70).build());
+        queries.push_back(
+            QueryBuilder(m).select(a, f).where_tag("host", "a").build());
+      }
+    }
+    for (const pmove::query::Query& q : queries) {
+      auto base = pmove::query::run(dbs[0], q);
+      ASSERT_TRUE(base.has_value()) << q.to_string();
+      ASSERT_FALSE(base->rows.empty()) << q.to_string();
+      for (int i = 1; i < kPaths; ++i) {
+        auto got = pmove::query::run(dbs[i], q);
+        ASSERT_TRUE(got.has_value()) << q.to_string();
+        EXPECT_TRUE(same_bits(base.value(), got.value()))
+            << "path " << i << ": " << q.to_string();
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 3u * (2 + 8 * 3 * 3));
 }
 
 }  // namespace
