@@ -22,7 +22,12 @@
 // own bytes and costs no copy.
 //
 // append_line() is the one line-protocol grammar of the project;
-// Point::from_line is a one-row wrapper over it.
+// Point::from_line is a one-row wrapper over it.  Sampler lines of a batch
+// repeat one field layout, so the parser keeps the layout of the last line
+// it parsed in full: a line whose field names spell that layout again (each
+// name followed by '=') takes its names and sorted order from it and writes
+// each value straight into its sorted slot.  Any other line, and any value
+// that is not a plain number, goes through the full grammar.
 #pragma once
 
 #include <cstdint>
@@ -92,6 +97,10 @@ class PointBatch {
   /// measurement or no fields.
   Status append_point(const Point& point);
 
+  /// Empties the batch but keeps its capacity.  An arena still shared with
+  /// split() parts is left to them; the batch starts a new one.
+  void clear();
+
   [[nodiscard]] std::vector<Point> to_points() const;
   [[nodiscard]] Point point(std::size_t row) const;
 
@@ -129,17 +138,34 @@ class PointBatch {
   Text put(std::string_view s);
   /// False when `more` bytes would push arena offsets past 32 bits.
   [[nodiscard]] bool fits(std::size_t more) const;
+  /// Arena text of token `raw` of `line`, whose first byte sits at arena
+  /// offset `offset`: the token's own bytes when unescaped, else an
+  /// unescaped copy.
+  Text arena_text(std::string_view raw, bool escaped, std::string_view line,
+                  std::size_t offset);
   /// Parses one line whose first byte sits at arena offset `offset`;
   /// commits nothing on error (the caller truncates the arena).
   Status parse_line(std::string_view line, std::size_t offset);
+  /// Parses the field set after the separator at `pos` through the full
+  /// grammar into line_fields_, in input order; leaves `pos` after the
+  /// last value.
+  Status parse_fields(std::string_view line, std::size_t& pos,
+                      std::size_t offset);
+  /// Appends line_fields_ to fields_, sorted through the layout (made
+  /// from them when their names differ from it).
+  void place_fields();
+  /// The layout fast path: true when the field set after `pos` spells the
+  /// layout's names in order, its values then in fields_ at their sorted
+  /// slots.  False (fields_ unchanged) on any difference.
+  bool match_layout(std::string_view line, std::size_t& pos);
+  /// Makes the names of fields_[first..] (input order) the layout.
+  void set_layout(std::size_t first);
   /// The batch series whose canonical key is `key` (hashing to `hash`).
   [[nodiscard]] std::optional<std::uint32_t> find_series(
       std::string_view key, std::uint64_t hash) const;
   std::uint32_t add_series(Text key, std::uint64_t hash, Text measurement,
                            std::span<const Tag> tags);
   void grow_slots();
-  /// Commits one row whose fields are in line_fields_, in input order.
-  void commit_row(std::uint32_t series, TimeNs time);
 
   std::shared_ptr<std::string> arena_;
   std::vector<Row> rows_;
@@ -154,10 +180,15 @@ class PointBatch {
   std::string key_scratch_;
   std::vector<Tag> line_tags_;
   std::vector<Field> line_fields_;
-  /// The last line's field names in input order and the permutation that
-  /// sorts and de-duplicates them: sampler lines repeat one field layout.
+  /// The field layout of the last line parsed in full: its names in input
+  /// order, each one's slot among the sorted, de-duplicated names (the last
+  /// of a duplicated name wins by being written last), and the sorted row
+  /// with zero values.  `layout_plain_` says no name holds a byte that line
+  /// protocol escapes, so its raw spelling is its own text.
   std::vector<Text> layout_names_;
-  std::vector<std::uint32_t> layout_order_;
+  std::vector<std::uint32_t> layout_slots_;
+  std::vector<Field> layout_row_;
+  bool layout_plain_ = false;
 };
 
 }  // namespace pmove::tsdb
